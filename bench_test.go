@@ -9,10 +9,7 @@ package psd
 // paper-vs-measured comparison.
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -332,56 +329,10 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkCountAll measures batch range-query throughput (the serving
-// path) across the parallelism axis, for both read engines: the arena
-// (pointer-per-node tree) and the sealed slab (structure-of-arrays). The
-// two return bit-identical answers; the axis isolates the layout.
-func BenchmarkCountAll(b *testing.B) {
-	env := quickEnv(b)
-	tree, err := Build(env.Data.Points, env.Data.Domain, Options{
-		Kind: QuadtreeKind, Height: 10, Epsilon: 0.5, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	slab := tree.Seal()
-	qs, err := env.Queries(workload.QueryShape{W: 10, H: 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// A serving-sized batch: repeat the workload to 960 queries.
-	batch := make([]Rect, 0, 960)
-	for len(batch) < 960 {
-		batch = append(batch, qs.Rects...)
-	}
-	engines := []struct {
-		name string
-		run  func([]Rect, int) []float64
-	}{
-		{"arena", tree.inner.CountAllWorkers},
-		{"slab", slab.inner.CountAllWorkers},
-	}
-	for _, eng := range engines {
-		for _, par := range BenchParallelisms() {
-			b.Run(fmt.Sprintf("%s/batch960/par=%d", eng.name, par), func(b *testing.B) {
-				b.ReportAllocs()
-				b.ResetTimer()
-				var out []float64
-				for i := 0; i < b.N; i++ {
-					out = eng.run(batch, par)
-				}
-				_ = out
-				b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-			})
-		}
-	}
-}
-
-// BenchmarkCountBatch measures the node-major batch engine across the
-// kind × batch-size × parallelism axes, against the same 10%×10% workload
-// BenchmarkCountAll answers one DFS at a time — the two report the same
-// queries/sec metric, so the node-major speedup reads directly off the
-// pair. Answers are bit-identical to the per-query path (pinned by
+// BenchmarkCountBatch measures the node-major batch engine — the only
+// batch API — across the kind × batch-size × parallelism axes on the
+// paper's 10%×10% workload, reporting queries/sec. Answers are
+// bit-identical to the per-query path (pinned by
 // TestCountBatchMatchesPerQuery and FuzzCountBatch); allocs/op is the
 // steady-state bar, 0 at par=1.
 func BenchmarkCountBatch(b *testing.B) {
@@ -431,7 +382,7 @@ func BenchmarkCountBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkQuery measures single range-query latency on both read engines,
+// BenchmarkQuery measures single range-query latency on the slab engine,
 // for a small (1%×1%) and a large (most-of-the-domain) rectangle. Allocs
 // are reported because the acceptance bar is zero: single queries must not
 // allocate (the DFS stacks are pooled).
@@ -461,43 +412,11 @@ func BenchmarkQuery(b *testing.B) {
 		{"large", []Rect{large}},
 	}
 	for _, sh := range shapes {
-		b.Run("arena/"+sh.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = tree.Count(sh.rects[i%len(sh.rects)])
-			}
-		})
 		b.Run("slab/"+sh.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = slab.Count(sh.rects[i%len(sh.rects)])
-			}
-		})
-	}
-}
-
-// BenchmarkOpenRelease measures artifact open latency into the serving form
-// (OpenSlab) for the committed golden quadtree release in both encodings —
-// the hot-reload path of cmd/psdserve.
-func BenchmarkOpenRelease(b *testing.B) {
-	for _, enc := range []struct{ name, file string }{
-		{"json", "release_quadtree.json"},
-		{"binary", "release_quadtree.bin"},
-	} {
-		data, err := os.ReadFile(filepath.Join("testdata", enc.file))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(enc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := OpenSlab(bytes.NewReader(data)); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -35,7 +35,7 @@ type benchReport struct {
 type benchRow struct {
 	// Name is "<op>/<config>/par=<n>".
 	Name string `json:"name"`
-	// Op is "build" or "countall".
+	// Op is "build" or "countbatch".
 	Op string `json:"op"`
 	// Kind is the decomposition family (build rows).
 	Kind string `json:"kind,omitempty"`
@@ -50,7 +50,7 @@ type benchRow struct {
 	BytesPerOp  int64 `json:"bytes_per_op"`
 	// PointsPerSec is build throughput (build rows).
 	PointsPerSec float64 `json:"points_per_sec,omitempty"`
-	// QueriesPerSec is batch query throughput (countall rows).
+	// QueriesPerSec is batch query throughput (countbatch rows).
 	QueriesPerSec float64 `json:"queries_per_sec,omitempty"`
 }
 
@@ -114,26 +114,27 @@ func runBenchJSON(env *eval.Env, scale eval.Scale, outPath string) error {
 	for len(batch) < 960 {
 		batch = append(batch, qs.Rects...)
 	}
+	slab := tree.Seal()
+	out := make([]float64, len(batch))
 	for _, par := range parLevels {
 		parallelism := par
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				// par=0 would also work; pin the axis value for the report.
-				_ = treeCountAll(tree, batch, parallelism)
+				slab.CountBatchIntoWorkers(out, batch, parallelism)
 			}
 		})
 		ns := float64(res.NsPerOp())
 		report.Rows = append(report.Rows, benchRow{
-			Name:          fmt.Sprintf("countall/batch%d/par=%d", len(batch), par),
-			Op:            "countall",
+			Name:          fmt.Sprintf("countbatch/batch%d/par=%d", len(batch), par),
+			Op:            "countbatch",
 			Parallelism:   par,
 			NsPerOp:       ns,
 			AllocsPerOp:   res.AllocsPerOp(),
 			BytesPerOp:    res.AllocedBytesPerOp(),
 			QueriesPerSec: float64(len(batch)) * 1e9 / ns,
 		})
-		fmt.Printf("countall/batch%-6d par=%-2d %12.0f ns/op %10d allocs/op %12.0f queries/sec\n",
+		fmt.Printf("countbatch/batch%-6d par=%-2d %12.0f ns/op %10d allocs/op %12.0f queries/sec\n",
 			len(batch), par, ns, res.AllocsPerOp(), float64(len(batch))*1e9/ns)
 	}
 
@@ -150,17 +151,4 @@ func runBenchJSON(env *eval.Env, scale eval.Scale, outPath string) error {
 	}
 	fmt.Printf("# wrote %s (%d rows)\n", outPath, len(report.Rows))
 	return nil
-}
-
-// treeCountAll pins the worker count for reporting. The public CountAll
-// always uses every core; the report wants the explicit axis.
-func treeCountAll(t *psd.Tree, qs []psd.Rect, workers int) []float64 {
-	if workers <= 1 {
-		out := make([]float64, len(qs))
-		for i, q := range qs {
-			out[i] = t.Count(q)
-		}
-		return out
-	}
-	return t.CountAll(qs)
 }

@@ -23,10 +23,9 @@ import (
 
 // queryReport is the machine-readable query-side performance snapshot
 // `psdbench query-bench` writes (BENCH_query.json by default): the serving
-// hot paths — single query, batch CountAll, artifact open, and the
-// in-process serve.Count — measured on both read engines (the tree arena
-// and the flat slab) and both release encodings (JSON format 1 and binary
-// format v2), so the two tentpole speedups are pinned as committed numbers.
+// hot paths — single query on the slab engine, the node-major batch engine
+// against the per-query loop, artifact open for the JSON and binary v3
+// encodings, and the in-process serve.Count and serve batch paths.
 type queryReport struct {
 	Schema    int        `json:"schema"`
 	GoVersion string     `json:"go_version"`
@@ -41,14 +40,12 @@ type queryReport struct {
 type queryRow struct {
 	// Name is "<op>/<case>/<engine>[/par=<n>]".
 	Name string `json:"name"`
-	// Op is "query", "countall", "batch", "open", "servecount" or
-	// "servebatch".
+	// Op is "query", "batch", "open", "servecount" or "servebatch".
 	Op string `json:"op"`
-	// Engine is "arena" or "slab" (read engines), "perquery" or
-	// "nodemajor" (batch rows), or "json" or "binary" (release encodings,
-	// for open rows).
+	// Engine is "slab" (single queries), "perquery" or "nodemajor" (batch
+	// rows), or "json", "binary" or "mmap" (release open paths).
 	Engine string `json:"engine"`
-	// Parallelism is the worker bound (countall rows; 0 = one per core).
+	// Parallelism is the worker bound (batch rows; 0 = one per core).
 	Parallelism int `json:"parallelism,omitempty"`
 	// NsPerOp is wall time per operation (one query, one batch, one open).
 	NsPerOp float64 `json:"ns_per_op"`
@@ -56,29 +53,21 @@ type queryRow struct {
 	// acceptance bar for single-query rows is 0 allocs/op.
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
-	// QueriesPerSec is batch throughput (countall rows).
+	// QueriesPerSec is batch throughput (batch rows).
 	QueriesPerSec float64 `json:"queries_per_sec,omitempty"`
 	// ArtifactBytes is the serialized size (open rows).
 	ArtifactBytes int `json:"artifact_bytes,omitempty"`
-	// SpeedupVsArena is arena-ns / this-ns on the matching arena row
-	// (slab rows), and SpeedupVsJSON is json-ns / this-ns (binary open
-	// rows): the PR 3 tentpole acceptance ratios.
-	SpeedupVsArena float64 `json:"speedup_vs_arena,omitempty"`
-	SpeedupVsJSON  float64 `json:"speedup_vs_json,omitempty"`
+	// SpeedupVsJSON is json-ns / this-ns (binary open rows).
+	SpeedupVsJSON float64 `json:"speedup_vs_json,omitempty"`
 	// SpeedupVsPerQuery is perquery-ns / this-ns on the matching
 	// per-query slab row (nodemajor batch rows): the node-major batch
 	// engine's acceptance ratio, >= 2x required at batch >= 1k.
 	SpeedupVsPerQuery float64 `json:"speedup_vs_perquery,omitempty"`
-	// SpeedupVsV2 is v2-decode-ns / this-ns on the matching v2 open row
-	// (mmap-v3 open rows): the zero-copy open acceptance ratio, >= 10x
-	// required on an h>=10 artifact.
-	SpeedupVsV2 float64 `json:"speedup_vs_v2,omitempty"`
 	// HeapDeltaBytes and RSSDeltaBytes are the steady-state memory grown by
 	// holding the opened slab and serving a query sweep from it (large open
 	// rows): Go heap in use, and the process's resident set (Linux; 0 where
-	// /proc is unavailable). The mmap rows count only the pages the sweep
-	// faulted in — and those are page-cache pages shared across replicas —
-	// where the decode rows pay the full private copy.
+	// /proc is unavailable). The mmap row counts only the pages the sweep
+	// faulted in — and those are page-cache pages shared across replicas.
 	HeapDeltaBytes int64 `json:"heap_delta_bytes,omitempty"`
 	RSSDeltaBytes  int64 `json:"rss_delta_bytes,omitempty"`
 }
@@ -135,23 +124,17 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 	emit := func(row queryRow) {
 		report.Rows = append(report.Rows, row)
 		extra := ""
-		if row.SpeedupVsArena > 0 {
-			extra = fmt.Sprintf("  %.2fx vs arena", row.SpeedupVsArena)
-		}
 		if row.SpeedupVsJSON > 0 {
 			extra = fmt.Sprintf("  %.2fx vs json", row.SpeedupVsJSON)
 		}
 		if row.SpeedupVsPerQuery > 0 {
 			extra = fmt.Sprintf("  %.2fx vs perquery", row.SpeedupVsPerQuery)
 		}
-		if row.SpeedupVsV2 > 0 {
-			extra = fmt.Sprintf("  %.2fx vs v2", row.SpeedupVsV2)
-		}
 		fmt.Printf("%-36s %12.0f ns/op %6d allocs/op%s\n", row.Name, row.NsPerOp, row.AllocsPerOp, extra)
 	}
 
-	// Single-query latency, small and large rects, both engines. Allocs
-	// must be 0: the DFS stacks are pooled.
+	// Single-query latency, small and large rects. Allocs must be 0: the
+	// DFS stacks are pooled.
 	queryCases := []struct {
 		name  string
 		rects []psd.Rect
@@ -161,15 +144,6 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 	}
 	for _, qc := range queryCases {
 		rects := qc.rects
-		arenaNs, arenaAllocs, arenaBytes := benchNs(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = tree.Count(rects[i%len(rects)])
-			}
-		})
-		emit(queryRow{
-			Name: "query/" + qc.name + "/arena", Op: "query", Engine: "arena",
-			NsPerOp: arenaNs, AllocsPerOp: arenaAllocs, BytesPerOp: arenaBytes,
-		})
 		slabNs, slabAllocs, slabBytes := benchNs(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = slab.Count(rects[i%len(rects)])
@@ -178,37 +152,6 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 		emit(queryRow{
 			Name: "query/" + qc.name + "/slab", Op: "query", Engine: "slab",
 			NsPerOp: slabNs, AllocsPerOp: slabAllocs, BytesPerOp: slabBytes,
-			SpeedupVsArena: arenaNs / slabNs,
-		})
-	}
-
-	// Batch CountAll on the kd h=8 tree: the acceptance comparison. par=1
-	// isolates the engines with a sequential loop; par=0 runs the real
-	// CountAll worker pool (one worker per core), the serving configuration.
-	for _, par := range []int{1, 0} {
-		par := par
-		arenaNs, arenaAllocs, arenaBytes := benchNs(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = arenaCountAll(tree, batch, par)
-			}
-		})
-		emit(queryRow{
-			Name: fmt.Sprintf("countall/kd-h8-batch960/arena/par=%d", par),
-			Op:   "countall", Engine: "arena", Parallelism: par,
-			NsPerOp: arenaNs, AllocsPerOp: arenaAllocs, BytesPerOp: arenaBytes,
-			QueriesPerSec: float64(len(batch)) * 1e9 / arenaNs,
-		})
-		slabNs, slabAllocs, slabBytes := benchNs(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = slabCountAll(slab, batch, par)
-			}
-		})
-		emit(queryRow{
-			Name: fmt.Sprintf("countall/kd-h8-batch960/slab/par=%d", par),
-			Op:   "countall", Engine: "slab", Parallelism: par,
-			NsPerOp: slabNs, AllocsPerOp: slabAllocs, BytesPerOp: slabBytes,
-			QueriesPerSec:  float64(len(batch)) * 1e9 / slabNs,
-			SpeedupVsArena: arenaNs / slabNs,
 		})
 	}
 
@@ -280,8 +223,9 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 		}
 	}
 
-	// Artifact open into the serving form, both encodings of the golden
-	// quadtree release.
+	// Artifact open into the serving form, both written encodings of the
+	// golden quadtree release (the v3 bytes decoded, as OpenSlab does for a
+	// reader).
 	jsonBytes, err := os.ReadFile(filepath.Join(testdataDir, "release_quadtree.json"))
 	if err != nil {
 		return fmt.Errorf("query-bench needs the golden fixtures (run from the repo root, or pass -testdata): %w", err)
@@ -291,7 +235,7 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 		return err
 	}
 	var binBuf bytes.Buffer
-	if err := goldenSlab.WriteBinaryRelease(&binBuf); err != nil {
+	if err := goldenSlab.WriteBinaryV3Release(&binBuf); err != nil {
 		return err
 	}
 	binBytes := binBuf.Bytes()
@@ -315,19 +259,17 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 		}
 	})
 	emit(queryRow{
-		Name: "open/golden-quadtree/binary", Op: "open", Engine: "binary",
+		Name: "open/golden-quadtree/binary-v3", Op: "open", Engine: "binary",
 		NsPerOp: binNs, AllocsPerOp: binAllocs, BytesPerOp: binAlloced,
 		ArtifactBytes: len(binBytes),
 		SpeedupVsJSON: jsonNs / binNs,
 	})
 
 	// Large-artifact open: an h=10 quadtree (1.4M nodes, ~56MB as v3) of
-	// the same data, written as binary v2 and v3 to real files, opened the
-	// way a serving replica would. The v2 row decodes and validates every
-	// column into fresh heap; the v3 row is OpenSlabFile's zero-copy path —
-	// mmap plus header/bitset validation, node pages left on disk — so its
-	// latency is independent of artifact size. The acceptance bar is >= 10x
-	// on open latency with lower steady-state residency.
+	// the same data, written to a real file and opened the way a serving
+	// replica would: OpenSlabFile's zero-copy path — mmap plus
+	// header/bitset validation, node pages left on disk — so its latency is
+	// independent of artifact size.
 	big, err := psd.Build(env.Data.Points, env.Data.Domain, psd.Options{
 		Kind: psd.QuadtreeKind, Height: 10, Epsilon: 0.5, Seed: 1,
 	})
@@ -339,47 +281,18 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 		return err
 	}
 	defer os.RemoveAll(bigDir)
-	v2Path := filepath.Join(bigDir, "big_v2.bin")
 	v3Path := filepath.Join(bigDir, "big_v3.bin")
-	if err := writeToFile(v2Path, big.WriteBinaryRelease); err != nil {
-		return err
-	}
 	if err := writeToFile(v3Path, big.WriteBinaryV3Release); err != nil {
 		return err
 	}
-	v2Size, v3Size := fileSize(v2Path), fileSize(v3Path)
 	// The residency sweep is the 1%x1% workload: a serving replica's hot
 	// set touches a sliver of a deep tree, which is exactly the case the
-	// on-demand page faulting exists for. The decode row pays the full
-	// private copy no matter what is queried; the mmap row's residency is
-	// proportional to the pages the workload actually visits.
-	sweep := small.Rects
-	// Residency first, mmap before decode: RSS only ever grows (freed heap
-	// is returned to the OS lazily), so the small measurement needs the
-	// fresh baseline.
-	v3Heap, v3RSS, err := measureResident(func() (*psd.Slab, error) { return psd.OpenSlabFile(v3Path) }, sweep)
+	// on-demand page faulting exists for — residency is proportional to the
+	// pages the workload actually visits.
+	v3Heap, v3RSS, err := measureResident(func() (*psd.Slab, error) { return psd.OpenSlabFile(v3Path) }, small.Rects)
 	if err != nil {
 		return err
 	}
-	v2Heap, v2RSS, err := measureResident(func() (*psd.Slab, error) { return psd.OpenSlabFile(v2Path) }, sweep)
-	if err != nil {
-		return err
-	}
-	v2Ns, v2OpenAllocs, v2OpenBytes := benchNs(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := psd.OpenSlabFile(v2Path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.Close()
-		}
-	})
-	emit(queryRow{
-		Name: "open/quadtree-h10/binary-v2", Op: "open", Engine: "binary",
-		NsPerOp: v2Ns, AllocsPerOp: v2OpenAllocs, BytesPerOp: v2OpenBytes,
-		ArtifactBytes:  int(v2Size),
-		HeapDeltaBytes: v2Heap, RSSDeltaBytes: v2RSS,
-	})
 	v3Ns, v3OpenAllocs, v3OpenBytes := benchNs(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s, err := psd.OpenSlabFile(v3Path)
@@ -392,8 +305,7 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 	emit(queryRow{
 		Name: "open/quadtree-h10/mmap-v3", Op: "open", Engine: "mmap",
 		NsPerOp: v3Ns, AllocsPerOp: v3OpenAllocs, BytesPerOp: v3OpenBytes,
-		ArtifactBytes:  int(v3Size),
-		SpeedupVsV2:    v2Ns / v3Ns,
+		ArtifactBytes:  int(fileSize(v3Path)),
 		HeapDeltaBytes: v3Heap, RSSDeltaBytes: v3RSS,
 	})
 
@@ -401,7 +313,7 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 	// must not allocate either.
 	reg := serve.NewRegistry(0)
 	var artifact bytes.Buffer
-	if err := tree.WriteBinaryRelease(&artifact); err != nil {
+	if err := tree.WriteBinaryV3Release(&artifact); err != nil {
 		return err
 	}
 	rel, err := reg.Register("bench", "bench", bytes.NewReader(artifact.Bytes()))
@@ -452,33 +364,6 @@ func runQueryBench(env *eval.Env, scale eval.Scale, testdataDir, outPath string)
 	}
 	fmt.Printf("# wrote %s (%d rows)\n", outPath, len(report.Rows))
 	return nil
-}
-
-// arenaCountAll pins the measured path: workers == 1 is an explicit
-// sequential loop, anything else goes through the CountAll worker pool
-// (one worker per core) — so the par=0 rows really measure the pool even
-// on machines the treeCountAll helper would run inline.
-func arenaCountAll(t *psd.Tree, qs []psd.Rect, workers int) []float64 {
-	if workers == 1 {
-		out := make([]float64, len(qs))
-		for i, q := range qs {
-			out[i] = t.Count(q)
-		}
-		return out
-	}
-	return t.CountAll(qs)
-}
-
-// slabCountAll mirrors arenaCountAll for the slab engine.
-func slabCountAll(s *psd.Slab, qs []psd.Rect, workers int) []float64 {
-	if workers == 1 {
-		out := make([]float64, len(qs))
-		for i, q := range qs {
-			out[i] = s.Count(q)
-		}
-		return out
-	}
-	return s.CountAll(qs)
 }
 
 // writeToFile streams write into a fresh file at path, through the

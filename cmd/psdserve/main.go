@@ -1,14 +1,14 @@
 // Command psdserve serves range-count queries over published PSD releases.
 //
 // A release is the ε-differentially private artifact a curator builds once
-// (psd.Tree.WriteRelease for JSON, psd.Tree.WriteBinaryRelease for the
-// binary columnar format v2); answering queries against it is free
+// (psd.Tree.WriteRelease for JSON, psd.Tree.WriteBinaryV3Release for the
+// mmap-ready binary format v3); answering queries against it is free
 // post-processing, so one server can handle unlimited traffic with no
-// further privacy spend. psdserve loads one or more releases — either
-// format, sniffed from the leading bytes — into a named registry of flat
-// query slabs and answers single and batch queries over HTTP, caching
-// repeated answers in a bounded sharded LRU. Binary artifacts decode
-// straight into the serving columns; prefer them where reload latency
+// further privacy spend. psdserve loads one or more releases — JSON, v3, or
+// the legacy binary v2 older releases wrote, sniffed from the leading
+// bytes — into a named registry of flat query slabs and answers single and
+// batch queries over HTTP, caching repeated answers in a bounded sharded
+// LRU. v3 artifacts are mapped zero-copy; prefer them where reload latency
 // matters (see `psdtool convert`).
 //
 // Usage:

@@ -68,22 +68,23 @@ func TestFormatOf(t *testing.T) {
 
 // TestConvertRoundTrip drives the convert subcommand's core both ways
 // against the committed golden quadtree fixture: json -> bin -> json must
-// reproduce the input byte-identically, and the intermediate binary must
-// answer queries like the original.
+// reproduce the input byte-identically (the bin leg is v3, opened zero-copy
+// by OpenSlabFile), and the intermediate binary must answer queries like
+// the original.
 func TestConvertRoundTrip(t *testing.T) {
 	src := filepath.Join("..", "..", "testdata", "release_quadtree.json")
 	dir := t.TempDir()
 	binPath := filepath.Join(dir, "r.bin")
 	jsonPath := filepath.Join(dir, "r.json")
 
-	slab1, n, err := convert(src, binPath, false)
+	slab1, n, err := convert(src, binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n <= 0 {
-		t.Fatalf("convert wrote %d bytes", n)
+	if n%64 != 16 { // v3 sections are 64-aligned; the 16-byte footer ends the file
+		t.Errorf("binary artifact is %d bytes; want 64-aligned v3 body + 16-byte footer", n)
 	}
-	slab2, _, err := convert(binPath, jsonPath, false)
+	slab2, _, err := convert(binPath, jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,89 +109,93 @@ func TestConvertRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, _, err := convert(filepath.Join(dir, "missing.json"), binPath, false); err == nil {
+	if _, _, err := convert(filepath.Join(dir, "missing.json"), binPath); err == nil {
 		t.Error("convert of a missing file should error")
 	}
 	junk := filepath.Join(dir, "junk.json")
 	if err := os.WriteFile(junk, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := convert(junk, binPath, false); err == nil {
+	if _, _, err := convert(junk, binPath); err == nil {
 		t.Error("convert of a junk artifact should error")
 	}
 }
 
-// TestConvertV3RoundTrip drives the converter through the mmap-ready v3
-// encoding: json -> v3 -> json must reproduce the input byte-identically
-// (the v3 leg is opened zero-copy by OpenSlabFile), and converting the
-// same artifact to v2 and v3 must yield slabs that answer identically.
+// TestConvertV3RoundTrip pins the v2 -> v3 migration path for every
+// committed fixture: `convert -in release_<kind>.bin -out x.bin` yields the
+// committed release_<kind>.v3.bin byte-for-byte, the result opens with
+// OpenSlabFile and passes Verify, and converting it on to JSON reproduces
+// the committed JSON fixture.
 func TestConvertV3RoundTrip(t *testing.T) {
-	src := filepath.Join("..", "..", "testdata", "release_quadtree.json")
 	dir := t.TempDir()
-	v3Path := filepath.Join(dir, "r3.bin")
-	v2Path := filepath.Join(dir, "r2.bin")
-	jsonPath := filepath.Join(dir, "r.json")
-
-	slabV3, n, err := convert(src, v3Path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n%64 != 16 { // sections are 64-aligned; the 16-byte footer ends the file
-		t.Errorf("v3 artifact is %d bytes; want 64-aligned body + 16-byte footer", n)
-	}
-	slabV2, _, err := convert(src, v2Path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, _, err := convert(v3Path, jsonPath, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Error("json -> v3 -> json round trip is not byte-identical")
-	}
-	for _, q := range []psd.Rect{
-		psd.NewRect(0, 0, 100, 100),
-		psd.NewRect(25, 25, 75, 75),
-		psd.NewRect(47, 47, 53, 53),
-	} {
-		if a, b := slabV2.Count(q), slabV3.Count(q); a != b {
-			t.Errorf("v2 and v3 slabs disagree on %v: %v vs %v", q, a, b)
+	for _, kind := range []string{"quadtree", "kd", "kd-hybrid", "hilbert-r", "kd-cell", "kd-noisymean", "privtree"} {
+		base := filepath.Join("..", "..", "testdata", "release_"+kind)
+		v3Path := filepath.Join(dir, kind+".bin")
+		v2slab, _, err := convert(base+".bin", v3Path)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
 		}
-		if a, b := slabV3.Count(q), back.Count(q); a != b {
-			t.Errorf("v3 and round-tripped slabs disagree on %v: %v vs %v", q, a, b)
+		v2slab.Close()
+		want, err := os.ReadFile(base + ".v3.bin")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := slabV3.Close(); err != nil {
-		t.Fatal(err)
+		got, err := os.ReadFile(v3Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s: v2 -> bin differs from the committed v3 fixture", kind)
+		}
+		opened, err := psd.OpenSlabFile(v3Path)
+		if err != nil {
+			t.Fatalf("%s: OpenSlabFile: %v", kind, err)
+		}
+		if err := opened.Verify(); err != nil {
+			t.Errorf("%s: Verify: %v", kind, err)
+		}
+		if err := opened.Close(); err != nil {
+			t.Fatal(err)
+		}
+		jsonPath := filepath.Join(dir, kind+".json")
+		back, _, err := convert(v3Path, jsonPath)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		back.Close()
+		wantJSON, err := os.ReadFile(base + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotJSON) != string(wantJSON) {
+			t.Errorf("%s: v2 -> v3 -> json differs from the committed JSON fixture", kind)
+		}
 	}
 }
 
 // TestConvertPrivTreeGolden runs the converter over the adaptive-kind
-// golden fixture: the committed JSON and binary artifacts must be exact
-// conversions of each other, and the reopened slab keeps the partial
-// publication (pruned adaptive leaves reported as regions).
+// golden fixtures: the committed JSON converts to the committed v3 artifact
+// byte-for-byte, the committed v2 artifact converts back to the committed
+// JSON, and the reopened slabs keep the partial publication (pruned
+// adaptive leaves reported as regions).
 func TestConvertPrivTreeGolden(t *testing.T) {
 	srcJSON := filepath.Join("..", "..", "testdata", "release_privtree.json")
 	srcBin := filepath.Join("..", "..", "testdata", "release_privtree.bin")
+	srcV3 := filepath.Join("..", "..", "testdata", "release_privtree.v3.bin")
 	dir := t.TempDir()
 
-	slab, _, err := convert(srcJSON, filepath.Join(dir, "p.bin"), false)
+	slab, _, err := convert(srcJSON, filepath.Join(dir, "p.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if slab.Kind() != "privtree" {
 		t.Fatalf("kind %q", slab.Kind())
 	}
-	want, err := os.ReadFile(srcBin)
+	want, err := os.ReadFile(srcV3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +204,9 @@ func TestConvertPrivTreeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Error("converted binary differs from the committed privtree fixture")
+		t.Error("converted binary differs from the committed privtree v3 fixture")
 	}
-	back, _, err := convert(srcBin, filepath.Join(dir, "p.json"), false)
+	back, _, err := convert(srcBin, filepath.Join(dir, "p.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +266,7 @@ func TestBuildPrivTreeFromCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "roads.bin")
-	if _, err := writeRelease(tree, out, false); err != nil {
+	if _, err := writeRelease(tree, out); err != nil {
 		t.Fatal(err)
 	}
 	g, err := os.Open(out)
@@ -291,7 +296,7 @@ func TestWriteRelease(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"r.json", "r.bin"} {
 		path := filepath.Join(dir, name)
-		n, err := writeRelease(tree, path, false)
+		n, err := writeRelease(tree, path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,9 +13,13 @@ import (
 // checked byte-for-byte. They pin the on-disk artifact format — a release
 // written by an old commit must keep opening (and answering) identically —
 // and give cmd/psdserve and CI a stable artifact to serve end-to-end.
-// Regenerate with:
+// Regenerate the JSON, v3 and query fixtures with:
 //
-//	go test . -run TestGoldenReleases -update
+//	go test . -run 'TestGolden(Releases|V3Releases|QueryAnswers)' -update
+//
+// The binary v2 fixtures (release_<kind>.bin) are never regenerated: no
+// code writes v2 any more, so they are decoder inputs frozen as older
+// releases of this module wrote them.
 
 var updateGolden = flag.Bool("update", false, "rewrite golden release fixtures under testdata/")
 
@@ -94,7 +98,7 @@ func TestGoldenReleases(t *testing.T) {
 
 			// The reopened fixture answers the fixed query set exactly as the
 			// builder's tree does, and re-serializes byte-identically.
-			reopened, err := OpenRelease(bytes.NewReader(golden))
+			reopened, err := OpenSlab(bytes.NewReader(golden))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,90 +118,51 @@ func TestGoldenReleases(t *testing.T) {
 	}
 }
 
-// TestGoldenBinaryReleases pins the binary format v2 on-disk artifacts the
-// same way: one release_<kind>.bin per family, checked byte-for-byte, and
-// required to answer the fixed query set bit-identically to both the
-// builder's tree and the JSON fixture opened as a slab. Regenerate with
-// -update alongside the JSON fixtures.
+// TestGoldenBinaryReleases pins the legacy binary format v2 decoder on the
+// committed release_<kind>.bin fixtures: each must still decode, answer the
+// fixed query set bit-identically to the builder's tree, and convert to both
+// the JSON fixture and the v3 fixture byte-for-byte — the migration path
+// `psdtool convert` offers v2 artifacts already on disk.
 func TestGoldenBinaryReleases(t *testing.T) {
 	for _, g := range goldenKinds {
 		t.Run(g.name, func(t *testing.T) {
 			tree := goldenBuild(t, g.kind)
-			var buf bytes.Buffer
-			if err := tree.WriteBinaryRelease(&buf); err != nil {
+			base := filepath.Join("testdata", "release_"+g.name)
+			golden, err := os.ReadFile(base + ".bin")
+			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "release_"+g.name+".bin")
-			if *updateGolden {
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			golden, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing fixture (run with -update): %v", err)
-			}
-			if !bytes.Equal(buf.Bytes(), golden) {
-				t.Errorf("binary release differs from %s (%d vs %d bytes); "+
-					"if the format change is intentional, regenerate with -update",
-					path, buf.Len(), len(golden))
-			}
-
-			// The binary fixture opens as a slab and answers exactly as the
-			// builder's tree; the JSON fixture opened as a slab must agree
-			// bit-for-bit, pinning JSON↔binary equivalence.
 			binSlab, err := OpenSlab(bytes.NewReader(golden))
 			if err != nil {
 				t.Fatal(err)
 			}
-			jsonBytes, err := os.ReadFile(filepath.Join("testdata", "release_"+g.name+".json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			jsonSlab, err := OpenSlab(bytes.NewReader(jsonBytes))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sealed := tree.Seal()
 			for _, q := range goldenQueries() {
-				want := tree.Count(q)
-				if got := binSlab.Count(q); got != want {
-					t.Errorf("query %v: binary slab %v, built %v", q, got, want)
-				}
-				if got := jsonSlab.Count(q); got != want {
-					t.Errorf("query %v: json slab %v, built %v", q, got, want)
-				}
-				if got := sealed.Count(q); got != want {
-					t.Errorf("query %v: sealed slab %v, built %v", q, got, want)
+				if got, want := binSlab.Count(q), tree.Count(q); got != want {
+					t.Errorf("query %v: v2 slab %v, built %v", q, got, want)
 				}
 			}
 
-			// Both directions of conversion are lossless: binary -> JSON
-			// matches the JSON fixture, JSON -> binary matches the binary one.
+			jsonBytes, err := os.ReadFile(base + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
 			var toJSON bytes.Buffer
 			if err := binSlab.WriteRelease(&toJSON); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(toJSON.Bytes(), jsonBytes) {
-				t.Error("binary fixture does not convert to the JSON fixture byte-identically")
+				t.Error("v2 fixture does not convert to the JSON fixture byte-identically")
 			}
-			var toBin bytes.Buffer
-			if err := jsonSlab.WriteBinaryRelease(&toBin); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(toBin.Bytes(), golden) {
-				t.Error("JSON fixture does not convert to the binary fixture byte-identically")
-			}
-
-			// OpenRelease (the arena path) accepts the binary artifact too.
-			reopened, err := OpenRelease(bytes.NewReader(golden))
+			v3Bytes, err := os.ReadFile(base + ".v3.bin")
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, q := range goldenQueries() {
-				if got, want := reopened.Count(q), tree.Count(q); got != want {
-					t.Errorf("query %v: arena-opened binary %v, built %v", q, got, want)
-				}
+			var toV3 bytes.Buffer
+			if err := binSlab.WriteBinaryV3Release(&toV3); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(toV3.Bytes(), v3Bytes) {
+				t.Error("v2 fixture does not convert to the v3 fixture byte-identically")
 			}
 		})
 	}
@@ -207,7 +172,8 @@ func TestGoldenBinaryReleases(t *testing.T) {
 // one release_<kind>.v3.bin per family, checked byte-for-byte, required to
 // answer the fixed query set bit-identically through both read paths — the
 // streaming decoder and the zero-copy mmap open — and to convert losslessly
-// to and from the v2 fixture. Regenerate with -update alongside the others.
+// to and from the JSON fixture. Regenerate with -update alongside the
+// others.
 func TestGoldenV3Releases(t *testing.T) {
 	for _, g := range goldenKinds {
 		t.Run(g.name, func(t *testing.T) {
@@ -256,28 +222,29 @@ func TestGoldenV3Releases(t *testing.T) {
 				}
 			}
 
-			// Conversion is lossless in both directions against the v2 fixture.
-			v2golden, err := os.ReadFile(filepath.Join("testdata", "release_"+g.name+".bin"))
+			// Conversion is lossless in both directions against the JSON
+			// fixture.
+			jsonBytes, err := os.ReadFile(filepath.Join("testdata", "release_"+g.name+".json"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var toV2 bytes.Buffer
-			if err := decoded.WriteBinaryRelease(&toV2); err != nil {
+			var toJSON bytes.Buffer
+			if err := decoded.WriteRelease(&toJSON); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(toV2.Bytes(), v2golden) {
-				t.Error("v3 fixture does not convert to the v2 fixture byte-identically")
+			if !bytes.Equal(toJSON.Bytes(), jsonBytes) {
+				t.Error("v3 fixture does not convert to the JSON fixture byte-identically")
 			}
-			v2slab, err := OpenSlab(bytes.NewReader(v2golden))
+			jsonSlab, err := OpenSlab(bytes.NewReader(jsonBytes))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var toV3 bytes.Buffer
-			if err := v2slab.WriteBinaryV3Release(&toV3); err != nil {
+			if err := jsonSlab.WriteBinaryV3Release(&toV3); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(toV3.Bytes(), golden) {
-				t.Error("v2 fixture does not convert to the v3 fixture byte-identically")
+				t.Error("JSON fixture does not convert to the v3 fixture byte-identically")
 			}
 		})
 	}

@@ -6,15 +6,16 @@ import (
 	"hash"
 	"io"
 	"math"
-	"math/bits"
 )
 
 // Release format v2 is a little-endian binary columnar encoding of the same
-// artifact the versioned JSON (format 1) carries. It exists for the serving
-// hot path: ReadBinary decodes straight into a Slab — raw float64 columns
-// copied into place, one bitset for the published flags, no per-count
-// pointer or interface allocation — where the JSON decoder pays reflection
-// and a heap pointer per count.
+// artifact the versioned JSON (format 1) carries. Nothing writes it any
+// more — format v3 (binary_v3.go) is the only binary encoding produced — but
+// ReadBinary keeps decoding it, so v2 artifacts already on disk still serve
+// from watch directories and convert to v3 or JSON losslessly. The decoder
+// reads straight into a Slab: raw float64 columns copied into place, one
+// bitset for the published flags, no per-count pointer or interface
+// allocation.
 //
 // Layout (all integers and floats little-endian):
 //
@@ -40,15 +41,14 @@ import (
 // "successfully" decoded (which would defeat the canonical-encoding
 // guarantee and the serving tier's corrupt-file quarantine).
 //
-// Count slots of unpublished nodes are written as zero and forced to zero on
-// read, so a decoded slab never carries garbage into LeafRegions. The
-// decoder applies the same hardening as Release.Validate before and after
+// Count slots of unpublished nodes are zero in a canonical artifact and are
+// forced to zero on read, so a decoded slab never carries garbage into
+// LeafRegions. The decoder applies the same hardening as Release.Validate before and after
 // the column reads: shape, epsilon and domain checks gate the allocation,
 // per-node checks reject non-finite or inverted rectangles and non-finite
 // published counts, and pruned indices must be in-range and ascending.
 //
-// Release format v3 (binary_v3.go) is the record-major, mmap-ready sibling:
-// ReadBinary accepts both, dispatching on the magic.
+// ReadBinary accepts both binary formats, dispatching on the magic.
 
 // binaryMagic opens every format-v2 artifact; SniffBinary keys on it.
 var binaryMagic = [4]byte{'P', 'S', 'D', '2'}
@@ -73,19 +73,9 @@ func SniffBinary(prefix []byte) bool {
 	return m == binaryMagic || m == v3Magic
 }
 
-// WriteBinary serializes the release in format v2. The release is validated
-// first, so a malformed in-memory artifact cannot produce undecodable bytes.
-func (r *Release) WriteBinary(w io.Writer) (int64, error) {
-	s, err := r.Slab()
-	if err != nil {
-		return 0, err
-	}
-	return s.WriteBinary(w)
-}
-
 // artifactWriter batches encoded bytes into a fixed chunk before handing
 // them to the destination, counting exactly the bytes the destination
-// accepted. The binary encoders write through it instead of a bufio.Writer
+// accepted. The v3 encoder writes through it instead of a bufio.Writer
 // so the (n, err) they return has one unambiguous meaning: n is what
 // actually reached w — on a mid-stream failure included — never inflated by
 // bytes a buffer accepted but never delivered. When crc is non-nil every
@@ -162,94 +152,6 @@ func (aw *artifactWriter) zeros(n int) {
 		aw.write(z[:k])
 		n -= k
 	}
-}
-
-// WriteBinary serializes the slab's release in format v2, returning the
-// number of bytes that reached w (on error, the bytes delivered before the
-// failure).
-func (s *Slab) WriteBinary(w io.Writer) (int64, error) {
-	s.ensureOpen()
-	aw := newArtifactWriter(w, nil)
-	n := s.Len()
-
-	var hdr [binaryHeaderSize]byte
-	copy(hdr[0:4], binaryMagic[:])
-	hdr[4] = binaryVersion
-	hdr[5] = byte(s.kind)
-	hdr[6] = 4
-	hdr[7] = byte(s.height)
-	binary.LittleEndian.PutUint64(hdr[8:], math.Float64bits(s.epsilon))
-	binary.LittleEndian.PutUint64(hdr[16:], math.Float64bits(s.domain.Lo.X))
-	binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(s.domain.Lo.Y))
-	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(s.domain.Hi.X))
-	binary.LittleEndian.PutUint64(hdr[40:], math.Float64bits(s.domain.Hi.Y))
-	binary.LittleEndian.PutUint32(hdr[48:], uint32(n))
-	pruned := s.prunedIndices()
-	binary.LittleEndian.PutUint32(hdr[52:], uint32(len(pruned)))
-	aw.write(hdr[:])
-
-	// The four bound columns are stored scalar-per-column on disk (columnar
-	// layouts align and compress well); in memory the slab packs them per
-	// node, so the writer de-interleaves, encoding through a value-batch
-	// scratch so the destination sees chunk-sized writes. The count column
-	// writes zero for unpublished slots so the encoding is canonical (a
-	// round trip through ReadBinary re-serializes byte-identically).
-	var b [8 << 10]byte
-	for col := 0; col < 5; col++ {
-		off := 0
-		for i := 0; i < n; i++ {
-			v := s.nodes[i][col]
-			if col == 4 && !s.usable.get(i) {
-				v = 0
-			}
-			binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
-			off += 8
-			if off == len(b) {
-				aw.write(b[:off])
-				off = 0
-			}
-		}
-		aw.write(b[:off])
-	}
-	for _, word := range s.usable {
-		aw.u64(word)
-	}
-	var vb [binary.MaxVarintLen64]byte
-	prev := 0
-	for i, idx := range pruned {
-		delta := idx - prev
-		if i == 0 {
-			delta = idx
-		}
-		k := binary.PutUvarint(vb[:], uint64(delta))
-		aw.write(vb[:k])
-		prev = idx
-	}
-	aw.flush()
-	return aw.n, aw.err
-}
-
-// prunedIndices lists the pruned subtree roots in ascending order. The
-// output is sized from a popcount over the bitset and filled by iterating
-// its set bits, so heavily-pruned releases (adaptive PrivTree shapes can
-// prune most of the tree) pay O(words + pruned), not repeated append growth
-// over an O(n) scan.
-func (s *Slab) prunedIndices() []int {
-	count := 0
-	for _, w := range s.pruned {
-		count += bits.OnesCount64(w)
-	}
-	if count == 0 {
-		return nil
-	}
-	out := make([]int, 0, count)
-	for wi, w := range s.pruned {
-		for w != 0 {
-			out = append(out, wi*64+bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-	return out
 }
 
 // ReadBinary parses and validates a binary release — format v2 or v3,

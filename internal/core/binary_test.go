@@ -4,72 +4,67 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
-	"psd/internal/budget"
 	"psd/internal/geom"
 )
 
-// binaryBytes serializes a built PSD's release in format v2.
-func binaryBytes(t *testing.T, p *PSD) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	n, err := p.Release().WriteBinary(&buf)
+// v2Fixture reads a committed format-v2 golden artifact. Nothing writes v2
+// any more, so the decoder is exercised on the artifacts an older release
+// of this module wrote: testdata/release_<kind>.bin, built at height 3
+// (85 nodes), except the adaptive privtree fixture (height 5, 1365 nodes,
+// unpublished interior and a non-empty pruned trailer).
+func v2Fixture(tb testing.TB, kind string) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "release_"+kind+".bin"))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteBinary reported %d bytes, wrote %d", n, buf.Len())
-	}
-	return buf.Bytes()
+	return raw
 }
 
-// TestBinaryRoundTrip pins the canonical-encoding property for every
-// family: decode(encode(release)) re-encodes byte-identically, and the
-// decoded slab answers exactly as the source tree.
+// v2FixtureKinds names every committed v2 fixture.
+var v2FixtureKinds = []string{"quadtree", "kd", "kd-hybrid", "hilbert-r", "kd-cell", "kd-noisymean", "privtree"}
+
+// TestBinaryRoundTrip pins the v2 decoder against every committed v2
+// fixture: the decoded slab converts to the committed JSON and v3 fixtures
+// byte-identically, so v2 artifacts on disk migrate losslessly.
+// (TestCrossFormatEquivalence pins that it also answers identically.)
 func TestBinaryRoundTrip(t *testing.T) {
-	dom := geom.NewRect(0, 0, 128, 64)
-	pts := randomPoints(4096, dom, 61)
-	for _, cfg := range slabTestConfigs() {
-		p, err := Build(pts, dom, cfg)
+	for _, kind := range v2FixtureKinds {
+		slab, err := ReadBinary(bytes.NewReader(v2Fixture(t, kind)))
+		if err != nil {
+			t.Fatalf("%s: ReadBinary: %v", kind, err)
+		}
+		dir := filepath.Join("..", "..", "testdata", "release_"+kind)
+		wantJSON, err := os.ReadFile(dir + ".json")
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw := binaryBytes(t, p)
-		slab, err := ReadBinary(bytes.NewReader(raw))
+		wantV3, err := os.ReadFile(dir + ".v3.bin")
 		if err != nil {
-			t.Fatalf("%v: ReadBinary: %v", cfg.Kind, err)
-		}
-		var again bytes.Buffer
-		if _, err := slab.WriteBinary(&again); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(raw, again.Bytes()) {
-			t.Errorf("%v: binary round trip differs (%d vs %d bytes)",
-				cfg.Kind, len(raw), again.Len())
-		}
-		for _, q := range slabTestQueries(dom) {
-			if got, want := slab.Query(q), p.Query(q); got != want {
-				t.Errorf("%v: binary slab Query(%v) = %v, want %v", cfg.Kind, q, got, want)
-			}
-		}
-		// The JSON and binary encodings carry the same artifact: converting
-		// the decoded slab back to JSON matches the direct JSON serialization.
-		var direct, viaBinary bytes.Buffer
-		if _, err := p.Release().WriteTo(&direct); err != nil {
+		var gotJSON, gotV3 bytes.Buffer
+		if _, err := slab.Release().WriteTo(&gotJSON); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := slab.Release().WriteTo(&viaBinary); err != nil {
+		if _, err := slab.WriteBinaryV3(&gotV3); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(direct.Bytes(), viaBinary.Bytes()) {
-			t.Errorf("%v: binary->JSON conversion differs from direct JSON", cfg.Kind)
+		if !bytes.Equal(gotJSON.Bytes(), wantJSON) {
+			t.Errorf("%s: v2 -> JSON differs from the JSON fixture", kind)
+		}
+		if !bytes.Equal(gotV3.Bytes(), wantV3) {
+			t.Errorf("%s: v2 -> v3 differs from the v3 fixture", kind)
 		}
 	}
 }
 
-// TestBinarySmallerThanJSON sanity-checks the size motivation: the columnar
-// encoding beats the JSON text encoding on every fixture family.
+// TestBinarySmallerThanJSON sanity-checks the size motivation: the binary
+// encoding beats the JSON text encoding on a post-processed release.
 func TestBinarySmallerThanJSON(t *testing.T) {
 	dom := geom.NewRect(0, 0, 100, 100)
 	pts := randomPoints(2048, dom, 71)
@@ -81,7 +76,7 @@ func TestBinarySmallerThanJSON(t *testing.T) {
 	if _, err := p.Release().WriteTo(&js); err != nil {
 		t.Fatal(err)
 	}
-	bin := binaryBytes(t, p)
+	bin := v3Bytes(t, p)
 	if len(bin) >= js.Len() {
 		t.Errorf("binary release is %d bytes, JSON %d — expected smaller", len(bin), js.Len())
 	}
@@ -103,15 +98,9 @@ func putF64(raw []byte, off int, v float64) []byte {
 
 // TestReadBinaryRejectsMalformed walks the hardening checklist: every
 // corruption class Release.Validate rejects on the JSON path must be
-// rejected by the binary decoder too, without panicking.
+// rejected by the v2 decoder too, without panicking.
 func TestReadBinaryRejectsMalformed(t *testing.T) {
-	dom := geom.NewRect(0, 0, 64, 64)
-	pts := randomPoints(1024, dom, 81)
-	p, err := Build(pts, dom, Config{Kind: Hybrid, Height: 3, Epsilon: 1, Seed: 82, PostProcess: true, PruneThreshold: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := binaryBytes(t, p)
+	raw := v2Fixture(t, "kd-hybrid")
 	nodes := 85 // (4^4-1)/3 for height 3
 
 	cases := map[string][]byte{
@@ -132,7 +121,8 @@ func TestReadBinaryRejectsMalformed(t *testing.T) {
 		"NaN rect":            putF64(raw, binaryHeaderSize, math.NaN()),
 		// lox of node 0 (the root/domain rect) pushed past its hix.
 		"inverted rect": putF64(raw, binaryHeaderSize, 1e12),
-		// First count made non-finite (root is published on these configs).
+		// First count made non-finite (the post-processed fixture
+		// publishes the root).
 		"infinite count": putF64(raw, binaryHeaderSize+4*8*nodes, math.Inf(1)),
 	}
 	for name, data := range cases {
@@ -148,10 +138,10 @@ func TestReadBinaryRejectsMalformed(t *testing.T) {
 		t.Error("ReadBinary accepted published bits beyond the last node")
 	}
 
-	// A truncated pruned trailer must error rather than hang or succeed.
-	if _, err := ReadBinary(bytes.NewReader(raw[:len(raw)-1])); err == nil {
-		// Only fails when the fixture actually pruned something; the config
-		// above prunes aggressively enough that the trailer is non-empty.
+	// A truncated pruned trailer must error rather than hang or succeed
+	// (the adaptive fixture's trailer is non-empty).
+	pruned := v2Fixture(t, "privtree")
+	if _, err := ReadBinary(bytes.NewReader(pruned[:len(pruned)-1])); err == nil {
 		t.Error("ReadBinary accepted a truncated pruned trailer")
 	}
 }
@@ -160,30 +150,31 @@ func TestReadBinaryRejectsMalformed(t *testing.T) {
 // count slot cannot leak into LeafRegions: the decoder forces those slots
 // to zero, matching the JSON path's nil counts.
 func TestReadBinaryZeroesUnpublishedCounts(t *testing.T) {
-	dom := geom.NewRect(0, 0, 64, 64)
-	pts := randomPoints(512, dom, 91)
-	// Leaf-only budget leaves the internal levels unpublished.
-	p, err := Build(pts, dom, Config{Kind: Quadtree, Height: 2, Epsilon: 1, Seed: 92, Strategy: budget.LeafOnly{}})
+	// PrivTree publishes only its adaptive leaves, so the fixture's root is
+	// unpublished; poison its count slot.
+	raw := v2Fixture(t, "privtree")
+	const nodes = 1365 // (4^6-1)/3 for height 5
+	poisoned := putF64(raw, binaryHeaderSize+4*8*nodes, 12345.0)
+	clean, err := ReadBinary(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := binaryBytes(t, p)
-	// Node 0 (the root) is unpublished under leaf-only budgets; poison its
-	// count slot.
-	poisoned := putF64(raw, binaryHeaderSize+4*8*21, 12345.0)
 	slab, err := ReadBinary(bytes.NewReader(poisoned))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var again bytes.Buffer
-	if _, err := slab.WriteBinary(&again); err != nil {
+	var want, got bytes.Buffer
+	if _, err := clean.WriteBinaryV3(&want); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw, again.Bytes()) {
+	if _, err := slab.WriteBinaryV3(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Error("decoder did not canonicalize a poisoned unpublished count slot")
 	}
-	for _, q := range slabTestQueries(dom) {
-		if got, want := slab.Query(q), p.Query(q); got != want {
+	for _, q := range slabTestQueries(clean.Domain()) {
+		if got, want := slab.Query(q), clean.Query(q); got != want {
 			t.Errorf("poisoned slab Query(%v) = %v, want %v", q, got, want)
 		}
 	}
@@ -204,7 +195,7 @@ func TestReadBinaryHostileHeaders(t *testing.T) {
 	base[4] = binaryVersion
 	base[5] = 0 // quadtree
 	base[6] = 4
-	base[7] = 0 // height 0 -> 1 node
+	base[7] = 0                                                      // height 0 -> 1 node
 	binary.LittleEndian.PutUint64(base[8:], math.Float64bits(1.0))   // epsilon
 	binary.LittleEndian.PutUint64(base[16:], math.Float64bits(0))    // lox
 	binary.LittleEndian.PutUint64(base[24:], math.Float64bits(0))    // loy
@@ -246,19 +237,13 @@ func TestReadBinaryHostileHeaders(t *testing.T) {
 // published bitset, the pruned trailer. Every cut must produce a decode
 // error, never a panic or a short successful read.
 func TestReadBinaryTruncatedSections(t *testing.T) {
-	dom := geom.NewRect(0, 0, 64, 64)
-	pts := randomPoints(1024, dom, 83)
-	p, err := Build(pts, dom, Config{Kind: Hybrid, Height: 3, Epsilon: 1, Seed: 84, PostProcess: true, PruneThreshold: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := binaryBytes(t, p)
-	const nodes = 85 // (4^4-1)/3 for height 3
+	raw := v2Fixture(t, "privtree")
+	const nodes = 1365 // (4^6-1)/3 for height 5
 	colBytes := 8 * nodes
 	bitsetOff := binaryHeaderSize + 5*colBytes
 	trailerOff := bitsetOff + 8*((nodes+63)/64)
 	if trailerOff >= len(raw) {
-		t.Fatalf("fixture has no pruned trailer (len %d, trailer at %d): pick a prunier config", len(raw), trailerOff)
+		t.Fatalf("fixture has no pruned trailer (len %d, trailer at %d)", len(raw), trailerOff)
 	}
 
 	cuts := []int{0, 1, binaryHeaderSize - 1, binaryHeaderSize}

@@ -14,8 +14,9 @@ import (
 	"psd/internal/geom"
 )
 
-// Release format v3 is the record-major, mmap-ready sibling of format v2:
-// the node section is byte-for-byte the slab's packed 40-byte
+// Release format v3 is the record-major, mmap-ready binary encoding and the
+// only binary format written (format v2, binary.go, is decode-only): the
+// node section is byte-for-byte the slab's packed 40-byte
 // [lox,loy,hix,hiy,est] hot records, so on a little-endian host
 // OpenSlabMmap can alias the mapping instead of decoding — open cost is
 // mmap(2) plus header and bitset validation, independent of artifact size,

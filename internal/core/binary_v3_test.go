@@ -43,8 +43,8 @@ func writeTempArtifact(t *testing.T, raw []byte) string {
 
 // TestBinaryV3RoundTrip pins the canonical-encoding property for format v3
 // across every family: decode(encode(release)) re-encodes byte-identically,
-// answers exactly as the source tree, and converts to the v2 and JSON
-// encodings identically to a direct serialization.
+// answers exactly as the source tree, and converts to JSON identically to a
+// direct serialization.
 func TestBinaryV3RoundTrip(t *testing.T) {
 	dom := geom.NewRect(0, 0, 128, 64)
 	pts := randomPoints(4096, dom, 61)
@@ -69,19 +69,21 @@ func TestBinaryV3RoundTrip(t *testing.T) {
 			t.Errorf("%v: v3 round trip differs (%d vs %d bytes)", cfg.Kind, len(raw), again.Len())
 		}
 		for _, q := range slabTestQueries(dom) {
-			if got, want := slab.Query(q), p.Query(q); got != want {
+			if got, want := slab.Query(q), p.arenaQuery(q); got != want {
 				t.Errorf("%v: v3 slab Query(%v) = %v, want %v", cfg.Kind, q, got, want)
 			}
 		}
-		// The v2 and v3 encodings carry the same artifact: converting the
-		// v3-decoded slab to v2 matches the direct v2 serialization.
-		direct := binaryBytes(t, p)
-		var viaV3 bytes.Buffer
-		if _, err := slab.WriteBinary(&viaV3); err != nil {
+		// The JSON and v3 encodings carry the same artifact: converting the
+		// v3-decoded slab to JSON matches the direct JSON serialization.
+		var direct, viaV3 bytes.Buffer
+		if _, err := p.Release().WriteTo(&direct); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(direct, viaV3.Bytes()) {
-			t.Errorf("%v: v3->v2 conversion differs from direct v2 encoding", cfg.Kind)
+		if _, err := slab.Release().WriteTo(&viaV3); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(direct.Bytes(), viaV3.Bytes()) {
+			t.Errorf("%v: v3->JSON conversion differs from direct JSON encoding", cfg.Kind)
 		}
 	}
 }
@@ -96,7 +98,7 @@ func TestReadBinaryRejectsTrailingGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, raw := range map[string][]byte{"v2": binaryBytes(t, p), "v3": v3Bytes(t, p)} {
+	for name, raw := range map[string][]byte{"v2": v2Fixture(t, "privtree"), "v3": v3Bytes(t, p)} {
 		if _, err := ReadBinary(bytes.NewReader(raw)); err != nil {
 			t.Fatalf("%s: clean artifact must decode: %v", name, err)
 		}
@@ -149,10 +151,9 @@ func (w *shortWriter) Write(p []byte) (int, error) {
 }
 
 // TestWriteBinaryCountsDestinationBytes pins the satellite bugfix: the n the
-// binary encoders return is exactly the bytes the destination accepted —
-// never inflated by bytes parked in an intermediate buffer — for both
-// formats, across fault offsets landing inside every section and on chunk
-// boundaries.
+// binary encoder returns is exactly the bytes the destination accepted —
+// never inflated by bytes parked in an intermediate buffer — across fault
+// offsets landing inside every section and on chunk boundaries.
 func TestWriteBinaryCountsDestinationBytes(t *testing.T) {
 	dom := geom.NewRect(0, 0, 64, 64)
 	pts := randomPoints(4096, dom, 83)
@@ -164,7 +165,6 @@ func TestWriteBinaryCountsDestinationBytes(t *testing.T) {
 	}
 	slab := p.Sealed()
 	encoders := map[string]func(io.Writer) (int64, error){
-		"v2": slab.WriteBinary,
 		"v3": slab.WriteBinaryV3,
 	}
 	for name, encode := range encoders {
@@ -212,58 +212,12 @@ func TestWriteBinaryCountsDestinationBytes(t *testing.T) {
 	}
 }
 
-// prunedSlab builds a heavily-pruned adaptive release for the prunedIndices
-// guards: PrivTree over clustered-ish data prunes most of a deep arena.
-func prunedSlab(tb testing.TB, height int) *Slab {
-	tb.Helper()
-	dom := geom.NewRect(0, 0, 64, 64)
-	pts := randomPoints(2048, dom, 91)
-	p, err := Build(pts, dom, Config{Kind: PrivTree, Height: height, Epsilon: 0.5, Seed: 92})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return p.Sealed()
-}
-
-// TestPrunedIndicesAllocs pins the satellite fix: the pruned list is sized
-// from a popcount up front, so building it costs exactly one allocation (or
-// none when nothing is pruned), however many subtrees were pruned.
-func TestPrunedIndicesAllocs(t *testing.T) {
-	s := prunedSlab(t, 6)
-	idx := s.prunedIndices()
-	if len(idx) == 0 {
-		t.Fatal("fixture pruned nothing; pick a prunier config")
-	}
-	for i := 1; i < len(idx); i++ {
-		if idx[i] <= idx[i-1] {
-			t.Fatalf("pruned indices not strictly ascending at %d: %d then %d", i, idx[i-1], idx[i])
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() { s.prunedIndices() })
-	if allocs > 1 {
-		t.Errorf("prunedIndices cost %.1f allocs per run, want at most 1 (pre-sized from popcount)", allocs)
-	}
-}
-
-// BenchmarkPrunedIndices guards the popcount-presized bit iteration on a
-// deep, mostly-pruned adaptive slab — the shape the encoder hits on every
-// v2 write of a PrivTree release.
-func BenchmarkPrunedIndices(b *testing.B) {
-	s := prunedSlab(b, 8)
-	idx := s.prunedIndices()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := s.prunedIndices(); len(got) != len(idx) {
-			b.Fatalf("pruned count changed: %d vs %d", len(got), len(idx))
-		}
-	}
-}
-
-// TestCrossFormatEquivalence is the three-way read-path pin: the same
-// release decoded from v2, decoded from v3, and mmap'd from v3 must be
-// bit-identical under Query, QueryWithStats, CountBatchInto (answers AND
-// traversal statistics), and LeafRegions.
+// TestCrossFormatEquivalence is the read-path pin across formats: the same
+// release decoded from JSON, decoded from v3, and mmap'd from v3 must be
+// bit-identical to the sealed build under Query, QueryWithStats,
+// CountBatchInto (answers AND traversal statistics), and LeafRegions. The
+// committed fixtures add the v2 decoder: each v2 fixture, and its v3
+// sibling decoded and mmap'd, must match the JSON fixture the same way.
 func TestCrossFormatEquivalence(t *testing.T) {
 	dom := geom.NewRect(0, 0, 128, 64)
 	pts := randomPoints(4096, dom, 71)
@@ -272,66 +226,103 @@ func TestCrossFormatEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slabs := map[string]*Slab{}
-		v2, err := ReadBinary(bytes.NewReader(binaryBytes(t, p)))
+		js, err := p.Release().Slab()
 		if err != nil {
-			t.Fatalf("%v: v2 decode: %v", cfg.Kind, err)
+			t.Fatalf("%v: JSON decode: %v", cfg.Kind, err)
 		}
-		slabs["v2-decode"] = v2
-		raw3 := v3Bytes(t, p)
-		v3, err := ReadBinary(bytes.NewReader(raw3))
+		slabs := map[string]*Slab{"json-decode": js}
+		addV3Slabs(t, slabs, v3Bytes(t, p))
+		checkSlabsMatch(t, cfg.Kind.String(), p.Sealed(), slabs, slabTestQueries(dom))
+	}
+	for _, kind := range v2FixtureKinds {
+		base := filepath.Join("..", "..", "testdata", "release_"+kind)
+		ref := readFixtureSlab(t, base+".json")
+		v2, err := ReadBinary(bytes.NewReader(v2Fixture(t, kind)))
 		if err != nil {
-			t.Fatalf("%v: v3 decode: %v", cfg.Kind, err)
+			t.Fatalf("%s: v2 decode: %v", kind, err)
 		}
-		slabs["v3-decode"] = v3
-		if mmapSupported && hostLittleEndian() {
-			mm, err := OpenSlabMmap(writeTempArtifact(t, raw3))
-			if err != nil {
-				t.Fatalf("%v: OpenSlabMmap: %v", cfg.Kind, err)
-			}
-			defer mm.Close()
-			if err := mm.Verify(); err != nil {
-				t.Fatalf("%v: Verify on a clean mapping: %v", cfg.Kind, err)
-			}
-			slabs["v3-mmap"] = mm
+		slabs := map[string]*Slab{"v2-decode": v2}
+		raw3, err := os.ReadFile(base + ".v3.bin")
+		if err != nil {
+			t.Fatal(err)
 		}
+		addV3Slabs(t, slabs, raw3)
+		checkSlabsMatch(t, kind+" fixture", ref, slabs, slabTestQueries(ref.Domain()))
+	}
+}
 
-		ref := p.Sealed()
-		qs := slabTestQueries(dom)
-		wantOut := make([]float64, len(qs))
-		wantSt := ref.CountBatchInto(wantOut, qs, 1)
-		wantRects, wantCounts := ref.LeafRegions()
-		for name, s := range slabs {
-			for _, q := range qs {
-				wv, wst := ref.QueryWithStats(q)
-				gv, gst := s.QueryWithStats(q)
-				if gv != wv || gst != wst {
-					t.Errorf("%v/%s: QueryWithStats(%v) = (%v, %+v), want (%v, %+v)",
-						cfg.Kind, name, q, gv, gst, wv, wst)
+// readFixtureSlab decodes a committed JSON fixture.
+func readFixtureSlab(t *testing.T, path string) *Slab {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ReadSlab(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return s
+}
+
+// addV3Slabs opens a v3 artifact through the streaming decoder and, where
+// the platform maps files, through the zero-copy mmap path (verified).
+func addV3Slabs(t *testing.T, slabs map[string]*Slab, raw3 []byte) {
+	t.Helper()
+	v3, err := ReadBinary(bytes.NewReader(raw3))
+	if err != nil {
+		t.Fatalf("v3 decode: %v", err)
+	}
+	slabs["v3-decode"] = v3
+	if mmapSupported && hostLittleEndian() {
+		mm, err := OpenSlabMmap(writeTempArtifact(t, raw3))
+		if err != nil {
+			t.Fatalf("OpenSlabMmap: %v", err)
+		}
+		t.Cleanup(func() { mm.Close() })
+		if err := mm.Verify(); err != nil {
+			t.Fatalf("Verify on a clean mapping: %v", err)
+		}
+		slabs["v3-mmap"] = mm
+	}
+}
+
+// checkSlabsMatch requires every slab to answer qs exactly as ref does.
+func checkSlabsMatch(t *testing.T, label string, ref *Slab, slabs map[string]*Slab, qs []geom.Rect) {
+	t.Helper()
+	wantOut := make([]float64, len(qs))
+	wantSt := ref.CountBatchInto(wantOut, qs, 1)
+	wantRects, wantCounts := ref.LeafRegions()
+	for name, s := range slabs {
+		for _, q := range qs {
+			wv, wst := ref.QueryWithStats(q)
+			gv, gst := s.QueryWithStats(q)
+			if gv != wv || gst != wst {
+				t.Errorf("%s/%s: QueryWithStats(%v) = (%v, %+v), want (%v, %+v)",
+					label, name, q, gv, gst, wv, wst)
+			}
+		}
+		for _, workers := range []int{1, 3} {
+			out := make([]float64, len(qs))
+			st := s.CountBatchInto(out, qs, workers)
+			if st != wantSt {
+				t.Errorf("%s/%s: batch stats %+v, want %+v", label, name, st, wantSt)
+			}
+			for i := range out {
+				if out[i] != wantOut[i] {
+					t.Errorf("%s/%s: CountBatch[%d] = %v, want %v", label, name, i, out[i], wantOut[i])
 				}
 			}
-			for _, workers := range []int{1, 3} {
-				out := make([]float64, len(qs))
-				st := s.CountBatchInto(out, qs, workers)
-				if st != wantSt {
-					t.Errorf("%v/%s: batch stats %+v, want %+v", cfg.Kind, name, st, wantSt)
-				}
-				for i := range out {
-					if out[i] != wantOut[i] {
-						t.Errorf("%v/%s: CountBatch[%d] = %v, want %v", cfg.Kind, name, i, out[i], wantOut[i])
-					}
-				}
-			}
-			rects, counts := s.LeafRegions()
-			if len(rects) != len(wantRects) {
-				t.Errorf("%v/%s: %d leaf regions, want %d", cfg.Kind, name, len(rects), len(wantRects))
-				continue
-			}
-			for i := range rects {
-				if rects[i] != wantRects[i] || counts[i] != wantCounts[i] {
-					t.Errorf("%v/%s: leaf region %d = (%v, %v), want (%v, %v)",
-						cfg.Kind, name, i, rects[i], counts[i], wantRects[i], wantCounts[i])
-				}
+		}
+		rects, counts := s.LeafRegions()
+		if len(rects) != len(wantRects) {
+			t.Errorf("%s/%s: %d leaf regions, want %d", label, name, len(rects), len(wantRects))
+			continue
+		}
+		for i := range rects {
+			if rects[i] != wantRects[i] || counts[i] != wantCounts[i] {
+				t.Errorf("%s/%s: leaf region %d = (%v, %v), want (%v, %v)",
+					label, name, i, rects[i], counts[i], wantRects[i], wantCounts[i])
 			}
 		}
 	}
@@ -371,7 +362,7 @@ func TestSlabClose(t *testing.T) {
 	for name, openSlab := range open {
 		t.Run(name, func(t *testing.T) {
 			s := openSlab(t)
-			want := p.Query(q)
+			want := p.arenaQuery(q)
 			if got := s.Query(q); got != want {
 				t.Fatalf("pre-Close Query = %v, want %v", got, want)
 			}
@@ -387,7 +378,6 @@ func TestSlabClose(t *testing.T) {
 				"CountBatchInto": func() { s.CountBatchInto(make([]float64, 1), []geom.Rect{q}, 1) },
 				"LeafRegions":    func() { s.LeafRegions() },
 				"Verify":         func() { s.Verify() },
-				"WriteBinary":    func() { s.WriteBinary(io.Discard) },
 				"WriteBinaryV3":  func() { s.WriteBinaryV3(io.Discard) },
 			}
 			for use, call := range uses {

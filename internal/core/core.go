@@ -300,15 +300,14 @@ type PSD struct {
 	pruneAt       float64
 	stats         BuildStats
 	// effLeaves is the number of effective leaf regions (actual leaves plus
-	// pruned subtree roots); LeafRegions pre-sizes its output with it.
+	// pruned subtree roots); Seal hands it to the slab, whose LeafRegions
+	// pre-sizes its output with it.
 	effLeaves int
 	// medianCalls accumulates across build workers; Stats() reads the
 	// settled value.
 	medianCalls atomic.Int64
-	// stacks pools query DFS stacks so single queries are allocation-free.
-	stacks sync.Pool
-	// sealOnce/sealed cache the flat slab the batch query path answers
-	// through (Sealed); the arena remains the source of truth.
+	// sealOnce/sealed cache the flat slab every query answers through
+	// (Sealed); the arena remains the source of truth.
 	sealOnce sync.Once
 	sealed   *Slab
 }

@@ -36,8 +36,9 @@ func degenerateQueries(dom geom.Rect) []geom.Rect {
 }
 
 // TestDegenerateRectsPinnedAcrossEngines pins degenerate query rectangles
-// bit-identical across all three engines — the arena DFS (PSD.Query), the
-// slab DFS (Slab.Query) and the node-major batch engine (CountBatch) — for
+// bit-identical across the arena reference DFS (arena_ref_test.go) and both
+// production engines — the slab DFS (Slab.Query) and the node-major batch
+// engine (CountBatch) — for
 // every decomposition family, including pruned and partially published
 // trees. Values AND traversal statistics must match; batch answers must
 // also be independent of the surrounding batch.
@@ -54,7 +55,7 @@ func TestDegenerateRectsPinnedAcrossEngines(t *testing.T) {
 		var batchWantSt QueryStats
 		want := make([]float64, len(qs))
 		for i, q := range qs {
-			av, ast := p.QueryWithStats(q)
+			av, ast := p.arenaQueryWithStats(q)
 			sv, sst := s.QueryWithStats(q)
 			if av != sv {
 				t.Errorf("%v: %v: arena %v, slab %v", cfg.Kind, q, av, sv)

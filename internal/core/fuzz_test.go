@@ -11,7 +11,7 @@ import (
 )
 
 // nodeCountOf reads the node-count field of a format-v2 header (the seeds
-// are all valid artifacts, so the field is trustworthy here).
+// are all valid fixtures, so the field is trustworthy here).
 func nodeCountOf(vb []byte) int {
 	return int(binary.LittleEndian.Uint32(vb[48:]))
 }
@@ -19,8 +19,8 @@ func nodeCountOf(vb []byte) int {
 // FuzzReadRelease feeds arbitrary (and mutated-valid) bytes through the
 // full untrusted-artifact paths the server uses — the JSON decoder and the
 // format v2 and v3 binary decoders: parse, validate, open, query. Whatever the
-// input, neither pipeline may panic, and anything that opens must answer
-// with finite counts through both the arena and the slab read path.
+// input, no pipeline may panic, and anything that opens must answer with
+// finite counts through the slab read path.
 func FuzzReadRelease(f *testing.F) {
 	dom := geom.NewRect(0, 0, 64, 64)
 	pts := randomPoints(512, dom, 31)
@@ -50,13 +50,34 @@ func FuzzReadRelease(f *testing.F) {
 		} {
 			f.Add(mut)
 		}
-		// The same artifact in format v2 seeds the binary decoder, with the
-		// matching corruption classes: header fields, truncation, bit flips.
-		var bin bytes.Buffer
-		if _, err := p.Release().WriteBinary(&bin); err != nil {
+
+		// The same artifact in format v3 seeds the record-major decoder:
+		// trailing garbage, truncations at every 64-aligned section boundary,
+		// checksum and footer-magic damage, and flipped body bits.
+		var b3 bytes.Buffer
+		if _, err := p.Release().WriteBinaryV3(&b3); err != nil {
 			f.Fatal(err)
 		}
-		vb := bin.Bytes()
+		v3 := b3.Bytes()
+		lay := v3LayoutFor(p.Len())
+		f.Add(v3)
+		f.Add(append(append([]byte{}, v3...), 0xAA))
+		for _, cut := range []int64{v3HeaderSize, lay.recordsEnd, lay.usableOff + lay.bitsetLen,
+			lay.prunedOff + lay.bitsetLen, lay.footerOff, int64(len(v3)) - 1} {
+			f.Add(v3[:cut])
+		}
+		f.Add(corrupt(v3, 4, 9))                                    // bad version
+		f.Add(corrupt(v3, 56, 1))                                   // non-zero reserved header
+		f.Add(corrupt(v3, int(lay.recordsOff)+3, 0x40))             // record bit flip
+		f.Add(corrupt(v3, int(lay.recordsEnd), 1))                  // non-zero pad
+		f.Add(corrupt(v3, int(lay.footerOff), v3[lay.footerOff]^1)) // checksum damage
+		f.Add(corrupt(v3, int(lay.footerOff)+8, 'X'))               // footer magic damage
+	}
+	// Format v2 is decode-only: the committed v2 fixtures seed its decoder,
+	// with the matching corruption classes — header fields, truncation, bit
+	// flips.
+	for _, kind := range v2FixtureKinds {
+		vb := v2Fixture(f, kind)
 		f.Add(vb)
 		for _, mut := range [][]byte{
 			append([]byte{'P', 'S', 'D', '2', 9}, vb[5:]...),     // bad version
@@ -90,28 +111,6 @@ func FuzzReadRelease(f *testing.F) {
 		f.Add(corrupt(vb, 7, 13))
 		f.Add(corrupt(vb, 7, 255))
 		f.Add(corrupt(vb, 52, 0xff, 0xff, 0xff, 0x7f))
-
-		// The same artifact in format v3 seeds the record-major decoder:
-		// trailing garbage, truncations at every 64-aligned section boundary,
-		// checksum and footer-magic damage, and flipped body bits.
-		var b3 bytes.Buffer
-		if _, err := p.Release().WriteBinaryV3(&b3); err != nil {
-			f.Fatal(err)
-		}
-		v3 := b3.Bytes()
-		lay := v3LayoutFor(nodes)
-		f.Add(v3)
-		f.Add(append(append([]byte{}, v3...), 0xAA))
-		for _, cut := range []int64{v3HeaderSize, lay.recordsEnd, lay.usableOff + lay.bitsetLen,
-			lay.prunedOff + lay.bitsetLen, lay.footerOff, int64(len(v3)) - 1} {
-			f.Add(v3[:cut])
-		}
-		f.Add(corrupt(v3, 4, 9))                                    // bad version
-		f.Add(corrupt(v3, 56, 1))                                   // non-zero reserved header
-		f.Add(corrupt(v3, int(lay.recordsOff)+3, 0x40))             // record bit flip
-		f.Add(corrupt(v3, int(lay.recordsEnd), 1))                  // non-zero pad
-		f.Add(corrupt(v3, int(lay.footerOff), v3[lay.footerOff]^1)) // checksum damage
-		f.Add(corrupt(v3, int(lay.footerOff)+8, 'X'))               // footer magic damage
 	}
 	f.Add([]byte(`{}`))
 	// A bare over-claiming header with no body at all: the decoder must
@@ -129,15 +128,8 @@ func FuzzReadRelease(f *testing.F) {
 		if slab, err := ReadBinary(bytes.NewReader(data)); err == nil {
 			rects, counts := slab.LeafRegions()
 			checkOpened(t, slab.Query(slab.Domain()), rects, counts)
-			// Canonical encoding: decode(encode(decode(x))) is stable, in
-			// both binary formats, whichever format x arrived in.
-			var out bytes.Buffer
-			if _, err := slab.WriteBinary(&out); err != nil {
-				t.Fatalf("re-encoding a decoded binary release failed: %v", err)
-			}
-			if _, err := ReadBinary(bytes.NewReader(out.Bytes())); err != nil {
-				t.Fatalf("re-encoded binary release does not decode: %v", err)
-			}
+			// Canonical encoding: decode(encode(decode(x))) is stable,
+			// whichever binary format x arrived in.
 			var out3 bytes.Buffer
 			if _, err := slab.WriteBinaryV3(&out3); err != nil {
 				t.Fatalf("re-encoding a decoded release as v3 failed: %v", err)
@@ -147,24 +139,17 @@ func FuzzReadRelease(f *testing.F) {
 			}
 		}
 
-		// JSON decode path, through both the arena and the slab.
+		// JSON decode path.
 		rel, err := ReadRelease(bytes.NewReader(data))
 		if err != nil {
 			return // rejected: fine, as long as we didn't panic
 		}
-		p, err := OpenRelease(rel)
-		if err != nil {
-			t.Fatalf("ReadRelease validated but OpenRelease failed: %v", err)
-		}
-		rects, counts := p.LeafRegions()
-		checkOpened(t, p.Query(p.Domain()), rects, counts)
 		slab, err := rel.Slab()
 		if err != nil {
 			t.Fatalf("ReadRelease validated but Slab failed: %v", err)
 		}
-		if got, want := slab.Query(slab.Domain()), p.Query(p.Domain()); got != want {
-			t.Fatalf("slab domain count %v, arena %v", got, want)
-		}
+		rects, counts := slab.LeafRegions()
+		checkOpened(t, slab.Query(slab.Domain()), rects, counts)
 	})
 }
 
@@ -187,8 +172,8 @@ func checkOpened(t *testing.T, domainCount float64, rects []geom.Rect, counts []
 
 // FuzzCountBatch drives the node-major batch engine with arbitrary rect
 // batches: whatever the batch, CountBatch must agree EXACTLY — answers and
-// aggregate traversal statistics — with the sequential per-query loop, on
-// both the arena and the slab read path, at several worker counts. Unlike
+// aggregate traversal statistics — with the sequential slab per-query loop,
+// itself checked against the arena reference, at several worker counts. Unlike
 // FuzzCount, non-finite bounds are kept: the engine must treat them exactly
 // as the per-query walk does (visit the root, answer 0).
 func FuzzCountBatch(f *testing.F) {
@@ -226,11 +211,11 @@ func FuzzCountBatch(f *testing.F) {
 
 		for _, p := range fuzzTrees() {
 			s := p.Sealed()
-			want, wantSt := sumStats(s, qs)
-			// The arena per-query loop must agree with the slab per-query
-			// loop (already pinned, but it anchors this target's reference).
+			want, wantSt := sumStats(s.QueryWithStats, qs)
+			// The arena reference must agree with the slab per-query loop
+			// (already pinned, but it anchors this target's reference).
 			for i, q := range qs {
-				if av := p.Query(q); av != want[i] {
+				if av := p.arenaQuery(q); av != want[i] {
 					t.Fatalf("arena Query(%v) = %v, slab %v", q, av, want[i])
 				}
 			}
@@ -277,9 +262,10 @@ var fuzzTrees = sync.OnceValue(func() []*PSD {
 })
 
 // FuzzCount checks query-engine invariants on arbitrary rectangles: the
-// canonical range query over a consistent tree must (a) be finite, (b)
-// equal the leaf-region overlap sum, (c) answer the whole domain with the
-// root estimate, and (d) be additive across a disjoint split of the query.
+// slab's canonical range query over a consistent tree must (a) be finite
+// and bit-identical to the arena reference, (b) equal the leaf-region
+// overlap sum, (c) answer the whole domain with the root estimate, and (d)
+// be additive across a disjoint split of the query.
 func FuzzCount(f *testing.F) {
 	f.Add(0.0, 0.0, 64.0, 64.0)
 	f.Add(10.0, 20.0, 30.0, 40.0)
@@ -310,16 +296,20 @@ func FuzzCount(f *testing.F) {
 		}
 		q := geom.Rect{Lo: geom.Point{X: a, Y: b}, Hi: geom.Point{X: c, Y: d}}
 		for _, p := range fuzzTrees() {
-			got := p.Query(q)
+			s := p.Sealed()
+			got := s.Query(q)
 			if math.IsNaN(got) || math.IsInf(got, 0) {
 				t.Fatalf("Query(%v) = %v, not finite", q, got)
+			}
+			if ref := p.arenaQuery(q); got != ref {
+				t.Fatalf("slab Query(%v) = %v, arena reference %v", q, got, ref)
 			}
 			tol := 1e-6 * (1 + math.Abs(got))
 
 			// (b) Leaf-region decomposition: summing every effective leaf's
 			// estimate weighted by its overlap fraction is the flat-histogram
 			// answer; on a consistent tree the hierarchical walk must agree.
-			rects, counts := p.LeafRegions()
+			rects, counts := s.LeafRegions()
 			var flat float64
 			for i, r := range rects {
 				flat += counts[i] * r.OverlapFraction(q)
@@ -332,7 +322,7 @@ func FuzzCount(f *testing.F) {
 			// when the root released one (PrivTree publishes only adaptive
 			// leaves, so its domain answer is the leaf sum checked in (b)).
 			if p.Arena().Root().Published || p.PostProcessed() {
-				if root := p.Query(p.Domain()); math.Abs(root-p.Arena().Root().Est) > 1e-6*(1+math.Abs(root)) {
+				if root := s.Query(p.Domain()); math.Abs(root-p.Arena().Root().Est) > 1e-6*(1+math.Abs(root)) {
 					t.Fatalf("Query(domain) = %v, root estimate %v", root, p.Arena().Root().Est)
 				}
 			}
@@ -342,7 +332,7 @@ func FuzzCount(f *testing.F) {
 			if q.Width() > 0 {
 				mid := (q.Lo.X + q.Hi.X) / 2
 				left, right := q.SplitX(mid)
-				sum := p.Query(left) + p.Query(right)
+				sum := s.Query(left) + s.Query(right)
 				if math.Abs(sum-got) > tol {
 					t.Fatalf("Query(%v) = %v but split sum = %v", q, got, sum)
 				}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"psd/internal/geom"
-	"psd/internal/par"
 )
 
 // QueryStats describes how a query was answered.
@@ -17,73 +16,10 @@ type QueryStats struct {
 	PartialLeaves int
 }
 
-// queryStack is the explicit DFS stack of the iterative query engine. A
-// complete fanout-4 tree never holds more than 3h+1 pending nodes, so one
-// small reusable buffer replaces the recursion the hot loops used to pay
-// for. int32 suffices: tree.MaxNodes < 2^31.
-type queryStack []int32
-
-// getQueryStack borrows a stack from the PSD's pool (putQueryStack returns
-// it), so single queries allocate nothing after the pool warms up.
-func (p *PSD) getQueryStack() *queryStack {
-	if v := p.stacks.Get(); v != nil {
-		return v.(*queryStack)
-	}
-	st := make(queryStack, 0, 3*p.arena.Height()+1)
-	return &st
-}
-
-func (p *PSD) putQueryStack(st *queryStack) { p.stacks.Put(st) }
-
-// Query estimates the number of data points inside q using the canonical
-// range-query method of Section 4.1: starting from the root, nodes fully
-// contained in q contribute their (post-processed) count, partially
-// intersecting internal nodes descend, and partially intersecting leaves
-// contribute under the uniformity assumption.
-func (p *PSD) Query(q geom.Rect) float64 {
-	var st QueryStats
-	stack := p.getQueryStack()
-	ans := p.queryIter(q, stack, &st)
-	p.putQueryStack(stack)
-	return ans
-}
-
-// QueryWithStats is Query plus diagnostics.
-func (p *PSD) QueryWithStats(q geom.Rect) (float64, QueryStats) {
-	var st QueryStats
-	stack := p.getQueryStack()
-	ans := p.queryIter(q, stack, &st)
-	p.putQueryStack(stack)
-	return ans, st
-}
-
-// CountAll answers a batch of range queries, spreading them across one
-// worker per available core. Answers come back in input order and are
-// identical to issuing each Query alone (queries are pure reads of the
-// released tree). Use CountAllWorkers to bound the pool.
-func (p *PSD) CountAll(qs []geom.Rect) []float64 {
-	return p.CountAllWorkers(qs, 0)
-}
-
-// CountAllWorkers is CountAll with an explicit worker bound (0 = one per
-// core, 1 = inline on the caller's goroutine).
-func (p *PSD) CountAllWorkers(qs []geom.Rect, workers int) []float64 {
-	out := make([]float64, len(qs))
-	par.For(par.Workers(workers), 0, len(qs), 8, func(lo, hi int) {
-		stack := p.getQueryStack()
-		var st QueryStats
-		for i := lo; i < hi; i++ {
-			out[i] = p.queryIter(qs[i], stack, &st)
-		}
-		p.putQueryStack(stack)
-	})
-	return out
-}
-
 // Sealed returns the PSD's cached flat slab, materializing it on first
-// use. The slab answers every query bit-identically to the arena (pinned
-// by the slab tests), so it is the engine behind the batch query path; the
-// arena remains the source of truth and stays fully usable.
+// use. Every query of a built PSD — single counts, batches and leaf
+// regions — is answered through it; the arena remains the source of truth
+// for the release, post-processing and TrueAnswer.
 func (p *PSD) Sealed() *Slab {
 	p.sealOnce.Do(func() { p.sealed = p.Seal() })
 	return p.sealed
@@ -92,59 +28,9 @@ func (p *PSD) Sealed() *Slab {
 // CountBatch answers a batch of range queries through the node-major batch
 // engine (one traversal per batch instead of one DFS per query; see
 // Slab.CountBatch). Answers come back in input order and are bit-identical
-// to issuing each Query alone.
+// to issuing each Slab.Query alone.
 func (p *PSD) CountBatch(qs []geom.Rect) []float64 {
 	return p.Sealed().CountBatch(qs)
-}
-
-// CountBatchWorkers is CountBatch with an explicit worker bound (0 = one
-// per core, 1 = a single traversal on the caller's goroutine).
-func (p *PSD) CountBatchWorkers(qs []geom.Rect, workers int) []float64 {
-	return p.Sealed().CountBatchWorkers(qs, workers)
-}
-
-// CountBatchInto is Slab.CountBatchInto on the cached sealed slab: answers
-// into out plus the batch's aggregate traversal statistics.
-func (p *PSD) CountBatchInto(out []float64, qs []geom.Rect, workers int) QueryStats {
-	return p.Sealed().CountBatchInto(out, qs, workers)
-}
-
-// queryIter runs the canonical method with an explicit stack, reusing the
-// caller's buffer across queries.
-func (p *PSD) queryIter(q geom.Rect, stack *queryStack, st *QueryStats) float64 {
-	nodes := p.arena.Nodes
-	s := (*stack)[:0]
-	s = append(s, 0)
-	var sum float64
-	for len(s) > 0 {
-		idx := int(s[len(s)-1])
-		s = s[:len(s)-1]
-		n := &nodes[idx]
-		st.NodesVisited++
-		if !n.Rect.Intersects(q) {
-			continue
-		}
-		usable := n.Published || p.postProcessed
-		if q.ContainsRect(n.Rect) && usable {
-			st.NodesAdded++
-			sum += n.Est
-			continue
-		}
-		if p.arena.IsLeaf(idx) || n.Pruned {
-			if !usable {
-				continue // no released information at or below this node
-			}
-			st.NodesAdded++
-			st.PartialLeaves++
-			sum += n.Est * n.Rect.OverlapFraction(q)
-			continue
-		}
-		cs := p.arena.ChildStart(idx)
-		// Push in reverse so children pop — and contribute — in order.
-		s = append(s, int32(cs+3), int32(cs+2), int32(cs+1), int32(cs))
-	}
-	*stack = s
-	return sum
 }
 
 // TrueAnswer returns the exact count of data points in q, computed from the
@@ -173,37 +59,4 @@ func (p *PSD) trueNode(idx int, q geom.Rect) float64 {
 		sum += p.trueNode(cs+j, q)
 	}
 	return sum
-}
-
-// LeafRegions returns the rectangles and estimated counts of the effective
-// leaves of the release: actual leaves plus pruned subtree roots. This is
-// the flat view applications like record matching block on. The traversal
-// is iterative and the output exactly pre-sized (the build tracks how many
-// leaf regions pruning removed), so large trees pay a single allocation
-// per slice instead of a realloc cascade.
-func (p *PSD) LeafRegions() ([]geom.Rect, []float64) {
-	capHint := p.effLeaves
-	if capHint < 1 {
-		capHint = 1
-	}
-	rects := make([]geom.Rect, 0, capHint)
-	counts := make([]float64, 0, capHint)
-	stackp := p.getQueryStack()
-	stack := append((*stackp)[:0], 0)
-	for len(stack) > 0 {
-		idx := int(stack[len(stack)-1])
-		stack = stack[:len(stack)-1]
-		n := &p.arena.Nodes[idx]
-		if p.arena.IsLeaf(idx) || n.Pruned {
-			rects = append(rects, n.Rect)
-			counts = append(counts, n.Est)
-			continue
-		}
-		cs := p.arena.ChildStart(idx)
-		// Reverse push keeps the historical left-to-right region order.
-		stack = append(stack, int32(cs+3), int32(cs+2), int32(cs+1), int32(cs))
-	}
-	*stackp = stack
-	p.putQueryStack(stackp)
-	return rects, counts
 }

@@ -34,7 +34,7 @@ func TestNonPrivateQueryMatchesTrueAnswerAllKinds(t *testing.T) {
 				y1, y2 = y2, y1
 			}
 			q := geom.NewRect(x1, y1, x2, y2)
-			got, want := p.Query(q), p.TrueAnswer(q)
+			got, want := p.Sealed().Query(q), p.TrueAnswer(q)
 			if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 				t.Fatalf("%v: query %v = %v, true recursion %v", kind, q, got, want)
 			}
@@ -74,7 +74,7 @@ func TestQueryOutsideDomainIsZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.Query(geom.NewRect(100, 100, 200, 200)); got != 0 {
+		if got := p.Sealed().Query(geom.NewRect(100, 100, 200, 200)); got != 0 {
 			t.Errorf("%v: disjoint query = %v", kind, got)
 		}
 	}
@@ -101,11 +101,11 @@ func TestHilbertDegenerateRangesAreHarmless(t *testing.T) {
 	// over it — exactly the Hilbert R-tree failure mode Section 8.2 reports
 	// ("comparably good performance on some queries, much higher errors on
 	// others"). We only require sanity, not accuracy, here.
-	got := p.Query(geom.NewRect(-1, -1, 11, 11))
+	got := p.Sealed().Query(geom.NewRect(-1, -1, 11, 11))
 	if math.Abs(got-100) > 30 {
 		t.Errorf("full-domain query = %v, want ≈ 100", got)
 	}
-	if tight := p.Query(geom.NewRect(4, 4, 6, 6)); tight < 0 || tight > 200 {
+	if tight := p.Sealed().Query(geom.NewRect(4, 4, 6, 6)); tight < 0 || tight > 200 {
 		t.Errorf("point-mass query = %v, want sane", tight)
 	}
 }
@@ -117,11 +117,11 @@ func TestQueryStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st := p.QueryWithStats(geom.NewRect(0, 0, 16, 16))
+	_, st := p.Sealed().QueryWithStats(geom.NewRect(0, 0, 16, 16))
 	if st.NodesAdded != 1 || st.NodesVisited != 1 {
 		t.Errorf("full-domain stats = %+v, want 1 node", st)
 	}
-	_, st = p.QueryWithStats(geom.NewRect(0.1, 0.1, 15.9, 15.9))
+	_, st = p.Sealed().QueryWithStats(geom.NewRect(0.1, 0.1, 15.9, 15.9))
 	if st.PartialLeaves == 0 || st.NodesVisited <= st.NodesAdded {
 		t.Errorf("interior-query stats implausible: %+v", st)
 	}
@@ -144,7 +144,7 @@ func TestErrorShrinksWithEpsilon(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum += math.Abs(p.Query(q) - p.TrueAnswer(q))
+			sum += math.Abs(p.Sealed().Query(q) - p.TrueAnswer(q))
 		}
 		return sum / trials
 	}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"psd/internal/geom"
-	"psd/internal/par"
 	"psd/internal/tree"
 )
 
@@ -20,9 +19,10 @@ import (
 // only the rectangle bounds, the released estimate, and one child offset.
 //
 // A slab is immutable once materialized — by Seal from a built PSD, by
-// Release.Slab from a parsed JSON artifact, or by ReadBinary straight from a
-// format-v2 binary artifact — and is safe for concurrent queries. It is the
-// only representation internal/serve serves.
+// Release.Slab from a parsed JSON artifact, by ReadBinary straight from a
+// binary artifact, or by OpenSlabMmap over a v3 file — and is safe for
+// concurrent queries. It is the only query engine: PSD queries, the public
+// API and internal/serve all answer through it.
 type Slab struct {
 	kind    Kind
 	height  int
@@ -41,7 +41,7 @@ type Slab struct {
 	// per-field columns make every child classification touch independent
 	// memory streams (one cache line and TLB entry per field per fanout),
 	// where the packed record streams children through 2-3 adjacent lines.
-	// The binary release format v2 still stores scalar columns on disk;
+	// The legacy binary format v2 stores scalar columns on disk;
 	// ReadBinary interleaves while decoding.
 	nodes [][5]float64
 	// usable marks nodes with released information (Published, or everything
@@ -201,8 +201,8 @@ func (s *Slab) depth(i int) int {
 	return 0
 }
 
-// computeEffLeaves counts the effective leaf regions after pruning, exactly
-// as OpenRelease does for the arena path. It iterates the set bits of the
+// computeEffLeaves counts the effective leaf regions of a decoded release
+// (Seal copies the build's count instead). It iterates the set bits of the
 // pruned bitset (O(words + pruned), not a per-node get loop): mmap open
 // runs this on every artifact, so it must stay cheap at tens of millions
 // of nodes.
@@ -223,9 +223,9 @@ func (s *Slab) computeEffLeaves() {
 	s.effLeaves = eff
 }
 
-// Seal materializes the flat read path of a built PSD. The slab answers
-// Query, CountAll and LeafRegions bit-identically to the PSD it was sealed
-// from; the PSD itself remains usable (Seal copies, it does not steal).
+// Seal materializes the flat read path of a built PSD. The PSD itself
+// remains usable (Seal copies, it does not steal); Sealed caches one slab
+// per PSD.
 func (p *PSD) Seal() *Slab {
 	ar := p.arena
 	s := newSlab(p.kind, ar.Height(), p.domain, p.PrivacyCost())
@@ -371,9 +371,13 @@ func (s *Slab) getStack() *[]int32 {
 func (s *Slab) putStack(st *[]int32) { s.stacks.Put(st) }
 
 // Query estimates the number of data points inside q using the canonical
-// range-query method of Section 4.1. Answers are bit-identical to the
-// arena path (PSD.Query) on the same release: the slab traversal visits the
-// same nodes and accumulates the same contributions in the same order.
+// range-query method of Section 4.1: starting from the root, nodes fully
+// contained in q contribute their released count, partially intersecting
+// internal nodes descend, and partially intersecting leaves contribute
+// under the uniformity assumption. Answers are bit-identical to a plain
+// node-at-a-time DFS over the built tree (the arena reference the tests pin
+// it against): the same nodes are visited and the same contributions
+// accumulate in the same order.
 func (s *Slab) Query(q geom.Rect) float64 {
 	s.ensureOpen()
 	var st QueryStats
@@ -393,29 +397,6 @@ func (s *Slab) QueryWithStats(q geom.Rect) (float64, QueryStats) {
 	return sum, st
 }
 
-// CountAll answers a batch of range queries, spreading them across one
-// worker per available core. Answers come back in input order and are
-// identical to issuing each Query alone.
-func (s *Slab) CountAll(qs []geom.Rect) []float64 {
-	return s.CountAllWorkers(qs, 0)
-}
-
-// CountAllWorkers is CountAll with an explicit worker bound (0 = one per
-// core, 1 = inline on the caller's goroutine).
-func (s *Slab) CountAllWorkers(qs []geom.Rect, workers int) []float64 {
-	s.ensureOpen()
-	out := make([]float64, len(qs))
-	par.For(par.Workers(workers), 0, len(qs), 8, func(lo, hi int) {
-		stack := s.getStack()
-		var st QueryStats
-		for i := lo; i < hi; i++ {
-			out[i] = s.queryIter(qs[i], stack, &st, nil)
-		}
-		s.putStack(stack)
-	})
-	return out
-}
-
 // Stack entries pack the node's identity into an int32. The low bit is the
 // tag: a set bit means the node was already classified as fully contained
 // in the query and usable, so the pop adds est[e>>1] with no further loads.
@@ -428,10 +409,10 @@ const slabAddWhole = 1
 // queryIter runs the canonical method over the columns with an explicit
 // stack. At every partially intersecting internal node it classifies all
 // four children in one pass over the contiguous rect column segment:
-// children missing the query are never pushed (the arena path pushes and
+// children missing the query are never pushed (a plain DFS pushes and
 // re-pops them), and children fully inside it are pushed pre-classified, so
 // their pop is a single est load. The push order keeps pops — and therefore
-// the floating-point accumulation order — exactly the arena path's.
+// the floating-point accumulation order — exactly the plain DFS's.
 //
 // cancel, when non-nil, is polled at bounded checkpoints (see cancel.go);
 // when it fires the walk abandons its partial sum, which the *Ctx callers
@@ -439,8 +420,8 @@ const slabAddWhole = 1
 // pop.
 func (s *Slab) queryIter(q geom.Rect, stack *[]int32, st *QueryStats, cancel *cancelToken) float64 {
 	if q.Lo.X != q.Lo.X || q.Lo.Y != q.Lo.Y || q.Hi.X != q.Hi.X || q.Hi.Y != q.Hi.Y {
-		// A NaN bound fails every interval test: like the arena path, the
-		// walk visits the root, finds no intersection, and answers 0.
+		// A NaN bound fails every interval test: like a plain DFS, the walk
+		// visits the root, finds no intersection, and answers 0.
 		st.NodesVisited++
 		return 0
 	}
@@ -501,8 +482,8 @@ func (s *Slab) queryIter(q geom.Rect, stack *[]int32, st *QueryStats, cancel *ca
 			c := cs + j
 			cr := &nodes[c]
 			if cr[0] >= q.Hi.X || q.Lo.X >= cr[2] || cr[1] >= q.Hi.Y || q.Lo.Y >= cr[3] {
-				// The arena path would pop it just to discard it; account for
-				// the visit without the stack round-trip.
+				// A plain DFS would pop it just to discard it; account for the
+				// visit without the stack round-trip.
 				visited++
 				continue
 			}
@@ -542,9 +523,10 @@ func overlapFraction(r *[5]float64, q geom.Rect) float64 {
 }
 
 // LeafRegions returns the rectangles and estimated counts of the effective
-// leaves of the release (actual leaves plus pruned subtree roots), exactly
-// as PSD.LeafRegions does, with the output pre-sized from the tracked
-// effective-leaf count.
+// leaves of the release (actual leaves plus pruned subtree roots) in
+// left-to-right order — the flat view applications like record matching
+// block on — with the output pre-sized from the tracked effective-leaf
+// count.
 func (s *Slab) LeafRegions() ([]geom.Rect, []float64) {
 	s.ensureOpen()
 	capHint := s.effLeaves

@@ -50,9 +50,10 @@ func slabTestQueries(dom geom.Rect) []geom.Rect {
 	}
 }
 
-// TestSlabMatchesArena pins the tentpole invariant: the sealed slab answers
-// every query bit-identically to the arena path, with identical traversal
-// statistics, and reproduces LeafRegions exactly.
+// TestSlabMatchesArena pins the slab engine to the arena reference
+// (arena_ref_test.go): the sealed slab answers every query bit-identically,
+// with identical traversal statistics, and reproduces the leaf regions
+// exactly.
 func TestSlabMatchesArena(t *testing.T) {
 	dom := geom.NewRect(0, 0, 128, 64)
 	pts := randomPoints(4096, dom, 7)
@@ -67,7 +68,7 @@ func TestSlabMatchesArena(t *testing.T) {
 			t.Fatalf("%v: slab metadata differs from PSD", cfg.Kind)
 		}
 		for _, q := range slabTestQueries(dom) {
-			wantV, wantSt := p.QueryWithStats(q)
+			wantV, wantSt := p.arenaQueryWithStats(q)
 			gotV, gotSt := s.QueryWithStats(q)
 			if gotV != wantV {
 				t.Errorf("%v: slab Query(%v) = %v, arena %v", cfg.Kind, q, gotV, wantV)
@@ -79,7 +80,7 @@ func TestSlabMatchesArena(t *testing.T) {
 				t.Errorf("%v: slab Query(%v) = %v, want %v", cfg.Kind, q, g, wantV)
 			}
 		}
-		wantR, wantC := p.LeafRegions()
+		wantR, wantC := p.arenaLeafRegions()
 		gotR, gotC := s.LeafRegions()
 		if len(gotR) != len(wantR) || len(gotC) != len(wantC) {
 			t.Fatalf("%v: slab LeafRegions %d/%d, arena %d/%d",
@@ -92,43 +93,6 @@ func TestSlabMatchesArena(t *testing.T) {
 			if gotR[i] != wantR[i] || gotC[i] != wantC[i] {
 				t.Fatalf("%v: leaf region %d = %v/%v, want %v/%v",
 					cfg.Kind, i, gotR[i], gotC[i], wantR[i], wantC[i])
-			}
-		}
-	}
-}
-
-// TestSlabFromReleaseMatchesOpenRelease pins that decoding a release
-// straight into a slab answers exactly as the arena OpenRelease path.
-func TestSlabFromReleaseMatchesOpenRelease(t *testing.T) {
-	dom := geom.NewRect(0, 0, 100, 100)
-	pts := randomPoints(2048, dom, 21)
-	for _, cfg := range slabTestConfigs() {
-		p, err := Build(pts, dom, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel := p.Release()
-		arena, err := OpenRelease(rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slab, err := rel.Slab()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range slabTestQueries(dom) {
-			if a, b := arena.Query(q), slab.Query(q); a != b {
-				t.Errorf("%v: release slab Query(%v) = %v, arena %v", cfg.Kind, q, b, a)
-			}
-		}
-		ra, ca := arena.LeafRegions()
-		rs, cs := slab.LeafRegions()
-		if len(ra) != len(rs) {
-			t.Fatalf("%v: release slab has %d regions, arena %d", cfg.Kind, len(rs), len(ra))
-		}
-		for i := range ra {
-			if ra[i] != rs[i] || ca[i] != cs[i] {
-				t.Fatalf("%v: release slab region %d differs", cfg.Kind, i)
 			}
 		}
 	}
@@ -166,42 +130,6 @@ func TestSlabReleaseRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(direct.Bytes(), reopened.Bytes()) {
 			t.Errorf("%v: release->slab->release round trip differs", cfg.Kind)
-		}
-	}
-}
-
-// TestSlabCountAllDeterministic pins batch answers to the sequential ones
-// at every worker count — the parallel-determinism guarantee the build
-// already makes, extended to the slab read path.
-func TestSlabCountAllDeterministic(t *testing.T) {
-	dom := geom.NewRect(0, 0, 64, 64)
-	pts := randomPoints(2048, dom, 41)
-	p, err := Build(pts, dom, Config{Kind: Hybrid, Height: 4, Epsilon: 0.5, Seed: 42, PostProcess: true, PruneThreshold: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := p.Seal()
-	qs := make([]geom.Rect, 0, 64)
-	for i := 0; i < 64; i++ {
-		base := slabTestQueries(dom)
-		qs = append(qs, base[i%len(base)])
-	}
-	want := make([]float64, len(qs))
-	for i, q := range qs {
-		want[i] = s.Query(q)
-	}
-	for _, workers := range []int{1, 2, 3, 8, 0} {
-		got := s.CountAllWorkers(qs, workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: CountAll[%d] = %v, want %v", workers, i, got[i], want[i])
-			}
-		}
-	}
-	arena := p.CountAll(qs)
-	for i := range want {
-		if arena[i] != want[i] {
-			t.Fatalf("arena CountAll[%d] = %v, slab %v", i, arena[i], want[i])
 		}
 	}
 }

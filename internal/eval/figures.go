@@ -234,12 +234,12 @@ func GridBaseline(env *Env, gridSide, quadHeight int, eps float64, shapes []work
 		if err != nil {
 			return nil, err
 		}
-		var gridErrs, quadErrs []float64
+		var gridErrs []float64
 		for i, q := range qs.Rects {
 			truth := qs.Answers[i]
 			gridErrs = append(gridErrs, 100*abs(flat.Query(q)-truth)/truth)
-			quadErrs = append(quadErrs, 100*abs(quad.Query(q)-truth)/truth)
 		}
+		quadErrs := RelativeErrors(quad, qs)
 		rows = append(rows, GridBaselineRow{
 			Shape:    shape,
 			GridErr:  workload.Median(gridErrs),

@@ -114,7 +114,7 @@ func Run(partyA, partyB []geom.Point, domain geom.Rect, cfg Config) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
-	regions, noisy := p.LeafRegions()
+	regions, noisy := p.Sealed().LeafRegions()
 	trueA := trueLeafCounts(p)
 
 	// B assigns its own records locally — the regions are public once

@@ -14,7 +14,7 @@ import (
 func BenchmarkServeCount(b *testing.B) {
 	tree := buildTree(b, 77)
 	var artifact bytes.Buffer
-	if err := tree.WriteBinaryRelease(&artifact); err != nil {
+	if err := tree.WriteBinaryV3Release(&artifact); err != nil {
 		b.Fatal(err)
 	}
 	q := psd.NewRect(10, 20, 55, 70)
@@ -52,7 +52,7 @@ func BenchmarkServeCount(b *testing.B) {
 func BenchmarkServeBatch(b *testing.B) {
 	tree := buildTree(b, 79)
 	var artifact bytes.Buffer
-	if err := tree.WriteBinaryRelease(&artifact); err != nil {
+	if err := tree.WriteBinaryV3Release(&artifact); err != nil {
 		b.Fatal(err)
 	}
 	d := tree.Domain()
@@ -98,7 +98,7 @@ func BenchmarkRegister(b *testing.B) {
 	if err := tree.WriteRelease(&jsonBuf); err != nil {
 		b.Fatal(err)
 	}
-	if err := tree.WriteBinaryRelease(&binBuf); err != nil {
+	if err := tree.WriteBinaryV3Release(&binBuf); err != nil {
 		b.Fatal(err)
 	}
 	for _, enc := range []struct {

@@ -12,18 +12,18 @@ import (
 	"psd"
 )
 
-// binaryReleaseBytes serializes a tree's release in binary format v2.
+// binaryReleaseBytes serializes a tree's release in binary format v3.
 func binaryReleaseBytes(t *testing.T, tree *psd.Tree) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tree.WriteBinaryRelease(&buf); err != nil {
+	if err := tree.WriteBinaryV3Release(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // TestRegisterBinaryArtifact pins content negotiation on the upload path:
-// a binary-v2 body registers exactly like the JSON body of the same
+// a binary-v3 body registers exactly like the JSON body of the same
 // release, and the two served releases answer identically.
 func TestRegisterBinaryArtifact(t *testing.T) {
 	tree := buildTree(t, 31)

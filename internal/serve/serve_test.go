@@ -149,13 +149,13 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("repeat query = %+v, want cached %v", single, want)
 	}
 
-	// Batch matches CountAll exactly (including a repeated rect → cache hit).
+	// Batch matches CountBatch exactly (including a repeated rect → cache hit).
 	qs := []psd.Rect{
 		psd.NewRect(0, 0, 100, 100),
 		psd.NewRect(25, 25, 75, 75),
 		q, // cached from above
 	}
-	wantAll := tree.CountAll(qs)
+	wantAll := tree.CountBatch(qs)
 	body, _ := json.Marshal(map[string][][4]float64{"rects": {
 		{0, 0, 100, 100}, {25, 25, 75, 75}, {q.Lo.X, q.Lo.Y, q.Hi.X, q.Hi.Y},
 	}})
@@ -581,7 +581,7 @@ func TestCountBatchIntoMatchesPerQuery(t *testing.T) {
 	tree := buildTree(t, 31)
 	slab := tree.Seal()
 	var artifact bytes.Buffer
-	if err := tree.WriteBinaryRelease(&artifact); err != nil {
+	if err := tree.WriteBinaryV3Release(&artifact); err != nil {
 		t.Fatal(err)
 	}
 	d := tree.Domain()
@@ -674,7 +674,7 @@ func TestDegenerateRectsThroughCache(t *testing.T) {
 		}
 		slab := tree.Seal()
 		var artifact bytes.Buffer
-		if err := tree.WriteBinaryRelease(&artifact); err != nil {
+		if err := tree.WriteBinaryV3Release(&artifact); err != nil {
 			t.Fatal(err)
 		}
 		reg := NewRegistry(1024)

@@ -17,7 +17,7 @@ func writeBinArtifact(t *testing.T, path string, seed int64) {
 	t.Helper()
 	tree := buildTree(t, seed)
 	var buf bytes.Buffer
-	if err := tree.WriteBinaryRelease(&buf); err != nil {
+	if err := tree.WriteBinaryV3Release(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {

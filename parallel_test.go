@@ -53,7 +53,10 @@ func TestParallelismDoesNotChangeRelease(t *testing.T) {
 	}
 }
 
-func TestCountAllMatchesCount(t *testing.T) {
+// TestCountBatchMatchesCount pins the public batch API to the single-query
+// one: Tree.CountBatch and Slab.CountBatch answer every rectangle exactly as
+// Count does.
+func TestCountBatchMatchesCount(t *testing.T) {
 	domain := NewRect(0, 0, 50, 50)
 	points := clusteredPoints(3000, domain, 22)
 	tr, err := Build(points, domain, Options{Kind: QuadtreeKind, Height: 5, Epsilon: 0.5, Seed: 5})
@@ -65,13 +68,17 @@ func TestCountAllMatchesCount(t *testing.T) {
 		f := float64(i)
 		qs[i] = NewRect(f*0.3, f*0.2, f*0.3+5, f*0.2+8)
 	}
-	got := tr.CountAll(qs)
-	if len(got) != len(qs) {
-		t.Fatalf("CountAll returned %d answers for %d queries", len(got), len(qs))
-	}
-	for i, q := range qs {
-		if want := tr.Count(q); got[i] != want {
-			t.Errorf("query %d: CountAll=%v Count=%v", i, got[i], want)
+	for name, got := range map[string][]float64{
+		"Tree.CountBatch": tr.CountBatch(qs),
+		"Slab.CountBatch": tr.Seal().CountBatch(qs),
+	} {
+		if len(got) != len(qs) {
+			t.Fatalf("%s returned %d answers for %d queries", name, len(got), len(qs))
+		}
+		for i, q := range qs {
+			if want := tr.Count(q); got[i] != want {
+				t.Errorf("%s: query %d: %v, Count %v", name, i, got[i], want)
+			}
 		}
 	}
 }

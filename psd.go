@@ -349,15 +349,9 @@ func Build(points []Point, domain Rect, opts Options) (*Tree, error) {
 // Count estimates the number of data points inside q using the canonical
 // range-query method of Section 4.1. The estimate is unbiased; repeated
 // calls are deterministic (the noise was fixed at build time — queries are
-// post-processing and consume no budget).
-func (t *Tree) Count(q Rect) float64 { return t.inner.Query(q) }
-
-// CountAll answers a batch of range queries with a worker pool (one worker
-// per available core), returning answers in input order. Each answer is
-// exactly what Count would return for that rectangle; batching only
-// amortizes traversal state and spreads independent queries across cores,
-// which is the right shape for serving many queries against one release.
-func (t *Tree) CountAll(qs []Rect) []float64 { return t.inner.CountAll(qs) }
+// post-processing and consume no budget). Queries run on the tree's flat
+// serving form, sealed lazily on first use (see Seal).
+func (t *Tree) Count(q Rect) float64 { return t.inner.Sealed().Query(q) }
 
 // CountBatch answers a batch of range queries with the node-major batch
 // engine: the tree's flat serving form (sealed lazily, once) is traversed
@@ -368,7 +362,7 @@ func (t *Tree) CountBatch(qs []Rect) []float64 { return t.inner.CountBatch(qs) }
 
 // Regions returns the effective leaf regions of the release and their
 // estimated counts — a flat histogram view of the decomposition.
-func (t *Tree) Regions() ([]Rect, []float64) { return t.inner.LeafRegions() }
+func (t *Tree) Regions() ([]Rect, []float64) { return t.inner.Sealed().LeafRegions() }
 
 // PrivacyCost returns the total ε the release consumed (at most the
 // configured Epsilon; equal to it for the standard configurations).
@@ -386,8 +380,6 @@ func (t *Tree) Domain() Rect { return t.inner.Domain() }
 // BuildTime returns how long construction took.
 func (t *Tree) BuildTime() string { return t.inner.Stats().Duration.String() }
 
-// NumRegions returns the number of effective leaf regions.
-func (t *Tree) NumRegions() int {
-	r, _ := t.inner.LeafRegions()
-	return len(r)
-}
+// NumRegions returns the number of effective leaf regions without
+// materializing them.
+func (t *Tree) NumRegions() int { return t.inner.Sealed().NumRegions() }

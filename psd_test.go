@@ -78,21 +78,40 @@ func TestQuickstartFlow(t *testing.T) {
 func TestAllKindsBuild(t *testing.T) {
 	domain := NewRect(0, 0, 100, 100)
 	points := clusteredPoints(5000, domain, 2)
-	kinds := []Kind{QuadtreeKind, KDTree, KDHybrid, HilbertRTree, KDCellTree, KDNoisyMeanTree, PrivTreeKind}
-	names := []string{"quadtree", "kd", "kd-hybrid", "hilbert-r", "kd-cell", "kd-noisymean", "privtree"}
-	for i, k := range kinds {
-		tree, err := Build(points, domain, Options{Kind: k, Height: 4, Epsilon: 0.5, Seed: 3})
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"quadtree", Options{Kind: QuadtreeKind}},
+		{"kd", Options{Kind: KDTree}},
+		{"kd-hybrid", Options{Kind: KDHybrid}},
+		{"hilbert-r", Options{Kind: HilbertRTree}},
+		{"kd-cell", Options{Kind: KDCellTree}},
+		{"kd-noisymean", Options{Kind: KDNoisyMeanTree}},
+		{"privtree", Options{Kind: PrivTreeKind}},
+		// Pruning collapses subtrees into single regions, so NumRegions must
+		// count effective leaves, not 4^h.
+		{"quadtree", Options{Kind: QuadtreeKind, PruneThreshold: 40}},
+	}
+	for _, c := range cases {
+		opts := c.opts
+		opts.Height, opts.Epsilon, opts.Seed = 4, 0.5, 3
+		tree, err := Build(points, domain, opts)
 		if err != nil {
-			t.Fatalf("%v: %v", k, err)
+			t.Fatalf("%v: %v", c.name, err)
 		}
-		if tree.Kind() != names[i] {
-			t.Errorf("Kind = %q, want %q", tree.Kind(), names[i])
+		if tree.Kind() != c.name {
+			t.Errorf("Kind = %q, want %q", tree.Kind(), c.name)
 		}
 		if got := tree.PrivacyCost(); got > 0.5+1e-9 {
-			t.Errorf("%v: privacy cost %v exceeds budget", k, got)
+			t.Errorf("%v: privacy cost %v exceeds budget", c.name, got)
 		}
-		if tree.NumRegions() == 0 {
-			t.Errorf("%v: no regions", k)
+		rects, _ := tree.Regions()
+		if n := tree.NumRegions(); n == 0 || n != len(rects) {
+			t.Errorf("%v (prune %v): NumRegions = %d, len(Regions) = %d", c.name, opts.PruneThreshold, n, len(rects))
+		}
+		if opts.PruneThreshold > 0 && len(rects) >= 1<<(2*opts.Height) {
+			t.Errorf("%v: prune threshold %v left all %d leaves", c.name, opts.PruneThreshold, len(rects))
 		}
 	}
 }
@@ -183,7 +202,7 @@ func TestPrivTreePublicAPI(t *testing.T) {
 	if err := seq.WriteRelease(&wantJSON); err != nil {
 		t.Fatal(err)
 	}
-	if err := seq.WriteBinaryRelease(&wantBin); err != nil {
+	if err := seq.WriteBinaryV3Release(&wantBin); err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{0, 2, 8} {
@@ -192,7 +211,7 @@ func TestPrivTreePublicAPI(t *testing.T) {
 		if err := got.WriteRelease(&js); err != nil {
 			t.Fatal(err)
 		}
-		if err := got.WriteBinaryRelease(&bin); err != nil {
+		if err := got.WriteBinaryV3Release(&bin); err != nil {
 			t.Fatal(err)
 		}
 		if js.String() != wantJSON.String() {
@@ -203,9 +222,9 @@ func TestPrivTreePublicAPI(t *testing.T) {
 		}
 	}
 
-	// The reopened artifact answers exactly as the builder's tree, through
-	// both the arena and the slab read path.
-	reopened, err := OpenRelease(strings.NewReader(wantJSON.String()))
+	// The reopened artifacts answer exactly as the builder's tree, from
+	// both written encodings.
+	reopened, err := OpenSlab(strings.NewReader(wantJSON.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,11 @@ trap 'rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/psdlint" ./cmd/psdlint
 go vet -vettool="$tmpdir/psdlint" ./...
 
+# perfbench is its own module (replace psd => ../), so ./... above never
+# reaches it: vet and psdlint it separately.
+echo "==> go vet + psdlint (perfbench module)"
+(cd perfbench && go vet ./... && go vet -vettool="$tmpdir/psdlint" ./...)
+
 if command -v staticcheck >/dev/null 2>&1; then
   echo "==> staticcheck (advisory)"
   staticcheck ./... || echo "staticcheck: findings above are advisory"

@@ -14,8 +14,8 @@ import (
 // queries — the paper's publish-then-serve split (Section 4.1) with the
 // serving side stripped to the minimum bytes per node.
 //
-// A Slab answers Count, CountAll and Regions bit-identically to the Tree or
-// release it came from, is immutable, and is safe for concurrent use.
+// A Slab answers Count, CountBatch and Regions bit-identically to the Tree
+// or release it came from, is immutable, and is safe for concurrent use.
 // Single queries are allocation-free.
 type Slab struct {
 	inner *core.Slab
@@ -28,12 +28,6 @@ func (t *Tree) Seal() *Slab { return &Slab{inner: t.inner.Seal()} }
 // Count estimates the number of data points inside q, exactly as
 // Tree.Count does on the tree this slab was sealed or opened from.
 func (s *Slab) Count(q Rect) float64 { return s.inner.Query(q) }
-
-// CountAll answers a batch of range queries with a worker pool (one worker
-// per available core), one independent DFS per query, returning answers in
-// input order. Prefer CountBatch: the node-major engine answers the same
-// batch from one pass over the slab.
-func (s *Slab) CountAll(qs []Rect) []float64 { return s.inner.CountAll(qs) }
 
 // QueryStats describes how a batch of queries was answered; it is the sum
 // of the per-query traversal statistics.
@@ -113,14 +107,6 @@ func (s *Slab) Domain() Rect { return s.inner.Domain() }
 // byte-identical to what the originating tree would write.
 func (s *Slab) WriteRelease(w io.Writer) error {
 	_, err := s.inner.Release().WriteTo(w)
-	return err
-}
-
-// WriteBinaryRelease serializes the slab's release in the binary columnar
-// format v2 — the compact encoding OpenSlab decodes with no per-count
-// allocation. See the README's "Release format v2" section for the layout.
-func (s *Slab) WriteBinaryRelease(w io.Writer) error {
-	_, err := s.inner.WriteBinary(w)
 	return err
 }
 
