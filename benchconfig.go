@@ -16,8 +16,11 @@ type BuildBenchConfig struct {
 }
 
 // BuildBenchConfigs returns the benchmarked build configurations: the
-// paper's best all-round quadtree at full height plus the kd family whose
-// private-median path is the construction bottleneck.
+// paper's best all-round quadtree at full height, PrivTree, and the
+// median-split kinds whose private-median path is the construction
+// bottleneck. kd-h8, kd-hybrid-h8 and hilbert-h6 take the sort-once path
+// (each axis, or the Hilbert values, sorted once at the root; see
+// median.SortedFinder); quad-opt-h10 and privtree-h8 split at midpoints.
 func BuildBenchConfigs() []BuildBenchConfig {
 	return []BuildBenchConfig{
 		{Name: "quad-opt-h10", Kind: QuadtreeKind, Height: 10},

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"psd/internal/dp"
@@ -175,7 +176,10 @@ func Build(points []geom.Point, domain geom.Rect, cfg Config) (*PSD, error) {
 
 // clampPoints copies points, clamping strays onto the domain boundary
 // (just inside the half-open upper edges). Non-finite coordinates are an
-// error: silently folding them anywhere would misattribute a tuple.
+// error: silently folding them anywhere would misattribute a tuple. −0 is
+// canonicalised to +0: sorts treat the two as equal and leave their order
+// to the algorithm, so a median landing on a zero could otherwise carry
+// either sign bit depending on how the node's values were ordered.
 func clampPoints(points []geom.Point, domain geom.Rect) ([]geom.Point, error) {
 	out := make([]geom.Point, len(points))
 	for i, p := range points {
@@ -193,6 +197,12 @@ func clampPoints(points []geom.Point, domain geom.Rect) ([]geom.Point, error) {
 		}
 		if p.Y >= domain.Hi.Y {
 			p.Y = beforeUp(domain.Hi.Y)
+		}
+		if p.X == 0 {
+			p.X = 0
+		}
+		if p.Y == 0 {
+			p.Y = 0
 		}
 		out[i] = p
 	}
@@ -216,55 +226,87 @@ type splitPlanner interface {
 	// Sequential reports whether splits must run in DFS order on a single
 	// goroutine (a legacy Finder with hidden stream state).
 	Sequential() bool
-}
 
-// buildTask is one pending subtree of a parallel build.
-type buildTask struct {
-	idx   int
-	depth int
-	pts   []geom.Point
+	// Presorted reports whether Split relies on pts arriving sorted along
+	// axis. The builder then sorts each axis once at the root and keeps both
+	// orders through every partition (sortedSet), instead of letting each
+	// median sort its node from scratch.
+	Presorted() bool
 }
 
 // buildPartitionTree assigns rectangles and exact counts to every node of
 // the arena by recursively splitting the point set: first along x, then
 // each half along y, producing four children per node (the flattened
-// fanout-4 layout of Section 6.2).
-//
-// With workers > 1 the top of the tree is expanded breadth-first until
-// there are enough independent subtrees to occupy the pool, then each
-// subtree builds depth-first on its own goroutine. Subtrees touch disjoint
-// arena ranges and disjoint sub-slices of pts, and every split draws from a
-// stream keyed by its node index, so the result is identical to the
-// sequential build.
+// fanout-4 layout of Section 6.2). A presorted planner gets the points
+// sorted once per axis at the root; any other partitions them in place.
+// Both views hold the same points under every node, so the release is the
+// same either way.
 func buildPartitionTree(arena *tree.Tree, pts []geom.Point, domain geom.Rect, sp splitPlanner, workers int) error {
 	arena.Nodes[0].Rect = domain
 	if sp.Sequential() {
 		workers = 1
 	}
+	if sp.Presorted() {
+		return buildPoints(arena, presort(pts), sp, workers)
+	}
+	return buildPoints(arena, plainSet(pts), sp, workers)
+}
+
+// buildPoints runs the fanout-4 expansion of expandNode over one view of
+// the points.
+func buildPoints[S pointSet[S]](arena *tree.Tree, root S, sp splitPlanner, workers int) error {
+	return buildFrontier(arena, root, workers, func(idx, depth int, s S, sc *median.Scratch) ([4]S, error) {
+		return expandNode(arena, sp, idx, depth, s, sc)
+	})
+}
+
+// nodeSet is a builder's view of the data under one node.
+type nodeSet interface{ size() int }
+
+// subtree is one pending subtree of a build.
+type subtree[S nodeSet] struct {
+	idx, depth int
+	set        S
+}
+
+// expandFunc performs one fanout-4 expansion of node idx: it chooses the
+// splits, assigns the four child rectangles and divides set among the
+// children, which must own disjoint parts of it.
+type expandFunc[S nodeSet] func(idx, depth int, set S, sc *median.Scratch) ([4]S, error)
+
+// buildFrontier fills in every node of the arena from the root's set,
+// recording each node's exact count and expanding every internal node.
+//
+// With workers > 1 the top of the tree is expanded breadth-first until
+// there are enough independent subtrees to occupy the pool, then each
+// subtree builds depth-first on its own goroutine. Subtrees touch disjoint
+// arena ranges and disjoint parts of the root set, and every split draws
+// from a stream keyed by its node index, so the result is identical to the
+// sequential build.
+func buildFrontier[S nodeSet](arena *tree.Tree, root S, workers int, expand expandFunc[S]) error {
 	var sc median.Scratch
 	if workers <= 1 || arena.Height() == 0 {
-		return buildSubtree(arena, sp, 0, pts, 0, &sc)
+		return buildSubtree(arena, subtree[S]{set: root}, expand, &sc)
 	}
-
-	queue := []buildTask{{idx: 0, depth: 0, pts: pts}}
+	queue := []subtree[S]{{set: root}}
 	for len(queue) > 0 && len(queue) < 4*workers {
 		t := queue[0]
 		queue = queue[1:]
+		arena.Nodes[t.idx].True = float64(t.set.size())
 		if arena.IsLeaf(t.idx) {
-			arena.Nodes[t.idx].True = float64(len(t.pts))
 			continue
 		}
-		kids, err := expandNode(arena, sp, t.idx, t.pts, t.depth, &sc)
+		kids, err := expand(t.idx, t.depth, t.set, &sc)
 		if err != nil {
 			return err
 		}
 		cs := arena.ChildStart(t.idx)
-		for j := 0; j < 4; j++ {
-			queue = append(queue, buildTask{idx: cs + j, depth: t.depth + 1, pts: kids[j]})
+		for j, k := range kids {
+			queue = append(queue, subtree[S]{idx: cs + j, depth: t.depth + 1, set: k})
 		}
 	}
-	return runTasks(workers, queue, func(t buildTask, wsc *median.Scratch) error {
-		return buildSubtree(arena, sp, t.idx, t.pts, t.depth, wsc)
+	return runTasks(workers, queue, func(t subtree[S], wsc *median.Scratch) error {
+		return buildSubtree(arena, t, expand, wsc)
 	})
 }
 
@@ -306,59 +348,78 @@ func runTasks[T any](workers int, tasks []T, run func(t T, sc *median.Scratch) e
 	return nil
 }
 
-// buildSubtree builds the subtree rooted at idx depth-first.
-func buildSubtree(arena *tree.Tree, sp splitPlanner, idx int, pts []geom.Point, depth int, sc *median.Scratch) error {
-	if arena.IsLeaf(idx) {
-		arena.Nodes[idx].True = float64(len(pts))
+// buildSubtree builds the subtree t depth-first.
+func buildSubtree[S nodeSet](arena *tree.Tree, t subtree[S], expand expandFunc[S], sc *median.Scratch) error {
+	arena.Nodes[t.idx].True = float64(t.set.size())
+	if arena.IsLeaf(t.idx) {
 		return nil
 	}
-	kids, err := expandNode(arena, sp, idx, pts, depth, sc)
+	kids, err := expand(t.idx, t.depth, t.set, sc)
 	if err != nil {
 		return err
 	}
-	cs := arena.ChildStart(idx)
-	for j := 0; j < 4; j++ {
-		if err := buildSubtree(arena, sp, cs+j, kids[j], depth+1, sc); err != nil {
+	cs := arena.ChildStart(t.idx)
+	for j, k := range kids {
+		if err := buildSubtree(arena, subtree[S]{idx: cs + j, depth: t.depth + 1, set: k}, expand, sc); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// expandNode performs one fanout-4 expansion: it records the node's exact
-// count, chooses the x and two y splits, assigns the child rectangles and
-// partitions pts into the four child sub-slices (in place — children own
-// disjoint ranges of the parent's slice).
-func expandNode(arena *tree.Tree, sp splitPlanner, idx int, pts []geom.Point, depth int, sc *median.Scratch) ([4][]geom.Point, error) {
-	n := &arena.Nodes[idx]
-	n.True = float64(len(pts))
-	xs, err := sp.Split(pts, geom.AxisX, n.Rect, depth, idx, 0, sc)
-	if err != nil {
-		return [4][]geom.Point{}, err
-	}
-	rL, rR := n.Rect.SplitX(xs)
-	mid := partitionBelow(pts, geom.AxisX, rL.Hi.X)
-	ptsL, ptsR := pts[:mid], pts[mid:]
+// pointSet is the 2-D builders' view of the points under one node.
+type pointSet[S any] interface {
+	nodeSet
+	// along returns the node's points, sorted along axis if the set is
+	// presorted.
+	along(axis geom.Axis) []geom.Point
+	// cut divides the set into the points with coordinate < split along
+	// axis and the rest, each owning a disjoint part of the parent's memory.
+	cut(axis geom.Axis, split float64) (below, rest S)
+}
 
-	ysL, err := sp.Split(ptsL, geom.AxisY, rL, depth, idx, 1, sc)
+// expandNode performs one fanout-4 expansion: it chooses the x and two y
+// splits, assigns the child rectangles and divides s among the children.
+func expandNode[S pointSet[S]](arena *tree.Tree, sp splitPlanner, idx, depth int, s S, sc *median.Scratch) ([4]S, error) {
+	r := arena.Nodes[idx].Rect
+	xs, err := sp.Split(s.along(geom.AxisX), geom.AxisX, r, depth, idx, 0, sc)
 	if err != nil {
-		return [4][]geom.Point{}, err
+		return [4]S{}, err
 	}
-	ysR, err := sp.Split(ptsR, geom.AxisY, rR, depth, idx, 2, sc)
+	rL, rR := r.SplitX(xs)
+	left, right := s.cut(geom.AxisX, rL.Hi.X)
+
+	ysL, err := sp.Split(left.along(geom.AxisY), geom.AxisY, rL, depth, idx, 1, sc)
 	if err != nil {
-		return [4][]geom.Point{}, err
+		return [4]S{}, err
+	}
+	ysR, err := sp.Split(right.along(geom.AxisY), geom.AxisY, rR, depth, idx, 2, sc)
+	if err != nil {
+		return [4]S{}, err
 	}
 	r0, r1 := rL.SplitY(ysL)
 	r2, r3 := rR.SplitY(ysR)
-	midL := partitionBelow(ptsL, geom.AxisY, r0.Hi.Y)
-	midR := partitionBelow(ptsR, geom.AxisY, r2.Hi.Y)
+	s0, s1 := left.cut(geom.AxisY, r0.Hi.Y)
+	s2, s3 := right.cut(geom.AxisY, r2.Hi.Y)
 
 	cs := arena.ChildStart(idx)
 	arena.Nodes[cs+0].Rect = r0
 	arena.Nodes[cs+1].Rect = r1
 	arena.Nodes[cs+2].Rect = r2
 	arena.Nodes[cs+3].Rect = r3
-	return [4][]geom.Point{ptsL[:midL], ptsL[midL:], ptsR[:midR], ptsR[midR:]}, nil
+	return [4]S{s0, s1, s2, s3}, nil
+}
+
+// plainSet holds a node's points in no particular order; a cut partitions
+// them in place.
+type plainSet []geom.Point
+
+func (s plainSet) size() int                    { return len(s) }
+func (s plainSet) along(geom.Axis) []geom.Point { return s }
+
+func (s plainSet) cut(axis geom.Axis, split float64) (plainSet, plainSet) {
+	mid := partitionBelow(s, axis, split)
+	return s[:mid], s[mid:]
 }
 
 // partitionBelow reorders pts so entries with coordinate < split along axis
@@ -374,6 +435,110 @@ func partitionBelow(pts []geom.Point, axis geom.Axis, split float64) int {
 		pts[i], pts[j] = pts[j], pts[i]
 	}
 	return i
+}
+
+// sortedSet holds a node's points twice, ordered by x and by y, plus an
+// equal-length scratch range for stable partitions. A child's three ranges
+// are the same sub-range of its parent's, so sibling subtrees never share
+// memory and each level costs linear passes instead of a sort.
+type sortedSet struct{ byX, byY, tmp []geom.Point }
+
+// presort takes over pts and returns the root of a sort-once build: pts
+// sorted by x, a copy sorted by y, and the scratch.
+func presort(pts []geom.Point) sortedSet {
+	s := sortedSet{byX: pts, byY: make([]geom.Point, len(pts)), tmp: make([]geom.Point, len(pts))}
+	sortAlong(s.byX, s.tmp, geom.AxisX)
+	copy(s.byY, s.byX)
+	sortAlong(s.byY, s.tmp, geom.AxisY)
+	return s
+}
+
+func (s sortedSet) size() int { return len(s.byX) }
+
+func (s sortedSet) along(axis geom.Axis) []geom.Point {
+	if axis == geom.AxisX {
+		return s.byX
+	}
+	return s.byY
+}
+
+// cut needs no search along axis: that order's first k points are exactly
+// the ones below split. The other order is stably partitioned by the same
+// predicate, which finds k and keeps both halves sorted.
+func (s sortedSet) cut(axis geom.Axis, split float64) (sortedSet, sortedSet) {
+	other := s.byY
+	if axis == geom.AxisY {
+		other = s.byX
+	}
+	k := stablePartition(other, s.tmp, axis, split)
+	return sortedSet{s.byX[:k], s.byY[:k], s.tmp[:k]}, sortedSet{s.byX[k:], s.byY[k:], s.tmp[k:]}
+}
+
+// stablePartition moves the points with coordinate < split along axis to
+// the front of pts, keeping both groups in their original order, and
+// returns their count. tmp (at least len(pts) long) holds the rest in
+// transit.
+func stablePartition(pts, tmp []geom.Point, axis geom.Axis, split float64) int {
+	// Branch-free: the test is a coin flip on the unsorted axis. Both
+	// destinations are written; only the matching cursor advances.
+	i, j := 0, 0
+	for _, p := range pts {
+		below := 0
+		if axis.Coord(p) < split {
+			below = 1
+		}
+		pts[i] = p
+		tmp[j] = p
+		i += below
+		j += 1 - below
+	}
+	copy(pts[i:], tmp[:j])
+	return i
+}
+
+// sortAlong sorts pts ascending along axis with a stable LSD radix sort on
+// the coordinates' order-preserving bit patterns (sortKey), one byte per
+// pass, using tmp (len(pts)) as the other half of the ping-pong. A pass
+// whose byte is the same for every point is skipped. On a build's root
+// sorts it is about 4x faster than a comparison sort. Coordinates must not
+// be NaN.
+func sortAlong(pts, tmp []geom.Point, axis geom.Axis) {
+	var counts [8][256]int
+	for _, p := range pts {
+		k := sortKey(axis.Coord(p))
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	src, dst := pts, tmp
+	for d := range counts {
+		c := &counts[d]
+		if slices.Contains(c[:], len(pts)) {
+			continue // every point has the same byte d
+		}
+		sum := 0
+		for b, n := range c {
+			c[b] = sum
+			sum += n
+		}
+		for _, p := range src {
+			b := byte(sortKey(axis.Coord(p)) >> (8 * d))
+			dst[c[b]] = p
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if len(pts) > 0 && &src[0] != &pts[0] {
+		copy(pts, src) // an odd number of passes ran
+	}
+}
+
+// sortKey maps a non-NaN float64 to a uint64 whose unsigned order is the
+// float's order: flip every bit of a negative value, the sign bit of any
+// other.
+func sortKey(f float64) uint64 {
+	u := math.Float64bits(f)
+	return u ^ (uint64(int64(u)>>63) | 1<<63)
 }
 
 // newSplitPlanner builds the planner for the partition-tree kinds.
@@ -404,6 +569,7 @@ func (midpointSplitter) Split(_ []geom.Point, axis geom.Axis, r geom.Rect, _, _,
 }
 
 func (midpointSplitter) Sequential() bool { return false }
+func (midpointSplitter) Presorted() bool  { return false }
 
 // medianSplitter performs private-median splits. Along any root-to-leaf
 // path each flattened level incurs two median computations (x then y), so
@@ -413,10 +579,13 @@ func (midpointSplitter) Sequential() bool { return false }
 //
 // When the configured Finder supports per-call streams (every built-in one
 // does), each split draws from rng.At(seed, medianStream(node, slot)):
-// identical splits whatever order — or goroutine — computes them.
+// identical splits whatever order — or goroutine — computes them. When it
+// is also a SortedFinder the splitter is presorted and skips the per-node
+// sort.
 type medianSplitter struct {
 	f      median.Finder
 	sf     median.StreamFinder // nil when f has hidden stream state
+	sorted median.SortedFinder // nil when f's answer depends on input order
 	seed   int64
 	epsPer float64
 	psd    *PSD
@@ -426,6 +595,7 @@ func newMedianSplitter(cfg Config, dataLevels int, epsStruct float64, p *PSD) (*
 	ms := &medianSplitter{f: cfg.Median, seed: cfg.Seed, psd: p}
 	if median.Streamable(cfg.Median) {
 		ms.sf, _ = cfg.Median.(median.StreamFinder)
+		ms.sorted, _ = cfg.Median.(median.SortedFinder)
 	}
 	if dataLevels > 0 && epsStruct > 0 {
 		ms.epsPer = epsStruct / float64(2*dataLevels)
@@ -435,6 +605,7 @@ func newMedianSplitter(cfg Config, dataLevels int, epsStruct float64, p *PSD) (*
 }
 
 func (ms *medianSplitter) Sequential() bool { return ms.sf == nil }
+func (ms *medianSplitter) Presorted() bool  { return ms.sorted != nil }
 
 func (ms *medianSplitter) Split(pts []geom.Point, axis geom.Axis, r geom.Rect, _, node, slot int, sc *median.Scratch) (float64, error) {
 	lo, hi := r.Range(axis)
@@ -447,7 +618,13 @@ func (ms *medianSplitter) Split(pts []geom.Point, axis geom.Axis, r geom.Rect, _
 		for i, p := range pts {
 			vals[i] = axis.Coord(p)
 		}
-		return ms.sf.MedianAt(rng.At(ms.seed, medianStream(node, slot), saltMedian), sc, vals, lo, hi, ms.epsPer)
+		src := rng.At(ms.seed, medianStream(node, slot), saltMedian)
+		if ms.sorted != nil {
+			// Presorted: pts are sorted along axis, and every point of a
+			// node lies in [lo, hi), so vals are already clamped and sorted.
+			return ms.sorted.MedianSorted(src, sc, vals, lo, hi, ms.epsPer)
+		}
+		return ms.sf.MedianAt(src, sc, vals, lo, hi, ms.epsPer)
 	}
 	vals := make([]float64, len(pts))
 	for i, p := range pts {
@@ -464,6 +641,7 @@ type hybridSplitter struct {
 }
 
 func (h *hybridSplitter) Sequential() bool { return h.median.Sequential() }
+func (h *hybridSplitter) Presorted() bool  { return h.median.Presorted() }
 
 func (h *hybridSplitter) Split(pts []geom.Point, axis geom.Axis, r geom.Rect, depth, node, slot int, sc *median.Scratch) (float64, error) {
 	if depth < h.switchLevel {
@@ -499,6 +677,7 @@ type cellSplitter struct {
 }
 
 func (c *cellSplitter) Sequential() bool { return false }
+func (c *cellSplitter) Presorted() bool  { return false }
 
 func (c *cellSplitter) Split(_ []geom.Point, axis geom.Axis, r geom.Rect, _, _, _ int, sc *median.Scratch) (float64, error) {
 	c.psd.medianCalls.Add(1)

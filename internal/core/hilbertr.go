@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"psd/internal/geom"
 	"psd/internal/hilbert"
@@ -34,9 +35,15 @@ func buildHilbertTree(arena *tree.Tree, pts []geom.Point, domain geom.Rect, cfg 
 		// only through order 26; the default order 18 is far inside that.
 		vals[i] = float64(mapper.Index(pt))
 	}
-	hb := &hilbertBuilder{cfg: cfg, psd: p, domain: domain, mapper: mapper}
+	hb := &hilbertBuilder{cfg: cfg, psd: p, domain: domain, mapper: mapper, arena: arena}
 	if median.Streamable(cfg.Median) {
 		hb.sf, _ = cfg.Median.(median.StreamFinder)
+		hb.sorted, _ = cfg.Median.(median.SortedFinder)
+	}
+	if hb.sorted != nil {
+		// Sort once: every node's values are then a contiguous sorted
+		// sub-range, split by binary search.
+		slices.Sort(vals)
 	}
 	if cfg.Height > 0 && epsStruct > 0 {
 		hb.epsPer = epsStruct / float64(2*cfg.Height)
@@ -53,43 +60,27 @@ func buildHilbertTree(arena *tree.Tree, pts []geom.Point, domain geom.Rect, cfg 
 	if hb.sf == nil {
 		workers = 1
 	}
-	var sc median.Scratch
-	if workers <= 1 || arena.Height() == 0 {
-		return hb.buildSubtree(arena, 0, vals, 0, total, &sc)
-	}
-	queue := []hilbertTask{{idx: 0, vals: vals, lo: 0, hi: total}}
-	for len(queue) > 0 && len(queue) < 4*workers {
-		t := queue[0]
-		queue = queue[1:]
-		if arena.IsLeaf(t.idx) {
-			arena.Nodes[t.idx].True = float64(len(t.vals))
-			continue
-		}
-		kids, err := hb.expandNode(arena, t, &sc)
-		if err != nil {
-			return err
-		}
-		queue = append(queue, kids[:]...)
-	}
-	return runTasks(workers, queue, func(t hilbertTask, wsc *median.Scratch) error {
-		return hb.buildSubtree(arena, t.idx, t.vals, t.lo, t.hi, wsc)
-	})
+	return buildFrontier(arena, hilbertSet{vals: vals, lo: 0, hi: total}, workers, hb.expandNode)
 }
 
-// hilbertTask is one pending subtree over a Hilbert value range [lo, hi).
-type hilbertTask struct {
-	idx    int
+// hilbertSet is the Hilbert builder's view of a node: the values in its
+// range [lo, hi).
+type hilbertSet struct {
 	vals   []float64
 	lo, hi float64
 }
 
+func (s hilbertSet) size() int { return len(s.vals) }
+
 type hilbertBuilder struct {
 	cfg    Config
 	sf     median.StreamFinder // nil forces the sequential legacy path
+	sorted median.SortedFinder // non-nil: values are sorted once at the root
 	epsPer float64
 	psd    *PSD
 	domain geom.Rect
 	mapper *hilbert.Mapper
+	arena  *tree.Tree
 }
 
 // rect maps a half-open Hilbert value interval to the bounding box of the
@@ -107,59 +98,50 @@ func (hb *hilbertBuilder) rect(lo, hi float64) (geom.Rect, error) {
 	return hb.mapper.RangeBounds(a, uint64(bf))
 }
 
-func (hb *hilbertBuilder) buildSubtree(arena *tree.Tree, idx int, vals []float64, lo, hi float64, sc *median.Scratch) error {
-	if arena.IsLeaf(idx) {
-		arena.Nodes[idx].True = float64(len(vals))
-		return nil
-	}
-	kids, err := hb.expandNode(arena, hilbertTask{idx: idx, vals: vals, lo: lo, hi: hi}, sc)
-	if err != nil {
-		return err
-	}
-	for _, k := range kids {
-		if err := hb.buildSubtree(arena, k.idx, k.vals, k.lo, k.hi, sc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // expandNode performs one flattened fanout-4 expansion over a value range:
 // m1 over [lo,hi), then m2 over [lo,m1) and m3 over [m1,hi).
-func (hb *hilbertBuilder) expandNode(arena *tree.Tree, t hilbertTask, sc *median.Scratch) ([4]hilbertTask, error) {
-	var out [4]hilbertTask
-	arena.Nodes[t.idx].True = float64(len(t.vals))
-	m1, err := hb.splitValue(t.idx, 0, t.vals, t.lo, t.hi, sc)
+func (hb *hilbertBuilder) expandNode(idx, _ int, s hilbertSet, sc *median.Scratch) ([4]hilbertSet, error) {
+	var out [4]hilbertSet
+	m1, err := hb.splitValue(idx, 0, s.vals, s.lo, s.hi, sc)
 	if err != nil {
 		return out, err
 	}
-	mid := partitionValues(t.vals, m1)
-	left, right := t.vals[:mid], t.vals[mid:]
-	m2, err := hb.splitValue(t.idx, 1, left, t.lo, m1, sc)
+	left, right := hb.cut(s.vals, m1)
+	m2, err := hb.splitValue(idx, 1, left, s.lo, m1, sc)
 	if err != nil {
 		return out, err
 	}
-	m3, err := hb.splitValue(t.idx, 2, right, m1, t.hi, sc)
+	m3, err := hb.splitValue(idx, 2, right, m1, s.hi, sc)
 	if err != nil {
 		return out, err
 	}
-	midL := partitionValues(left, m2)
-	midR := partitionValues(right, m3)
+	v0, v1 := hb.cut(left, m2)
+	v2, v3 := hb.cut(right, m3)
 
-	bounds := [5]float64{t.lo, m2, m1, m3, t.hi}
-	cs := arena.ChildStart(t.idx)
-	for j := 0; j < 4; j++ {
+	bounds := [5]float64{s.lo, m2, m1, m3, s.hi}
+	kids := [4][]float64{v0, v1, v2, v3}
+	cs := hb.arena.ChildStart(idx)
+	for j := range out {
 		r, rerr := hb.rect(bounds[j], bounds[j+1])
 		if rerr != nil {
 			return out, rerr
 		}
-		arena.Nodes[cs+j].Rect = r
+		hb.arena.Nodes[cs+j].Rect = r
+		out[j] = hilbertSet{vals: kids[j], lo: bounds[j], hi: bounds[j+1]}
 	}
-	out[0] = hilbertTask{idx: cs + 0, vals: left[:midL], lo: bounds[0], hi: bounds[1]}
-	out[1] = hilbertTask{idx: cs + 1, vals: left[midL:], lo: bounds[1], hi: bounds[2]}
-	out[2] = hilbertTask{idx: cs + 2, vals: right[:midR], lo: bounds[2], hi: bounds[3]}
-	out[3] = hilbertTask{idx: cs + 3, vals: right[midR:], lo: bounds[3], hi: bounds[4]}
 	return out, nil
+}
+
+// cut divides vals into the values < split and the rest: by binary search
+// when the values are sorted, otherwise by partitioning them in place.
+func (hb *hilbertBuilder) cut(vals []float64, split float64) ([]float64, []float64) {
+	var mid int
+	if hb.sorted != nil {
+		mid, _ = slices.BinarySearch(vals, split)
+	} else {
+		mid = partitionValues(vals, split)
+	}
+	return vals[:mid], vals[mid:]
 }
 
 // splitValue runs the configured median finder over one-dimensional Hilbert
@@ -173,11 +155,16 @@ func (hb *hilbertBuilder) splitValue(node, slot int, vals []float64, lo, hi floa
 	hb.psd.medianCalls.Add(1)
 	var m float64
 	var err error
-	if hb.sf != nil {
+	src := rng.At(hb.cfg.Seed, medianStream(node, slot), saltMedian)
+	switch {
+	case hb.sorted != nil:
+		// A sorted sub-range inside [lo, hi): already clamped and sorted.
+		m, err = hb.sorted.MedianSorted(src, sc, vals, lo, hi, hb.epsPer)
+	case hb.sf != nil:
 		buf := sc.Coords(len(vals))
 		copy(buf, vals)
-		m, err = hb.sf.MedianAt(rng.At(hb.cfg.Seed, medianStream(node, slot), saltMedian), sc, buf, lo, hi, hb.epsPer)
-	} else {
+		m, err = hb.sf.MedianAt(src, sc, buf, lo, hi, hb.epsPer)
+	default:
 		m, err = hb.cfg.Median.Median(vals, lo, hi, hb.epsPer)
 	}
 	if err != nil {

@@ -27,6 +27,10 @@ func equivalenceConfigs() map[string]Config {
 		"quad-pruned": {Kind: Quadtree, Height: 4, Epsilon: 1, Seed: 48, PostProcess: true, PruneThreshold: 40},
 		"kd-sampled": {Kind: KD, Height: 3, Epsilon: 1, Seed: 49,
 			Median: &median.Sampled{Inner: &median.EM{}, Rate: 0.5}},
+		"kd-ss": {Kind: KD, Height: 4, Epsilon: 1, Seed: 52, PostProcess: true,
+			Median: &median.SS{Delta: 1e-4}},
+		"hilbert-r-ss": {Kind: HilbertR, Height: 4, Epsilon: 1, Seed: 53, HilbertOrder: 8,
+			Median: &median.SS{Delta: 1e-4}},
 	}
 }
 

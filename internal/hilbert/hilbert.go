@@ -152,8 +152,10 @@ func alignedBlocks(lo, hi uint64) []block {
 	pos := lo
 	for pos <= hi {
 		level := uint(0)
-		// Grow the block while it stays aligned and inside the range.
-		for {
+		// Grow the block while it stays aligned and inside the range. No
+		// range holds a block above MaxOrder, whose size would not fit in
+		// uint64.
+		for level < MaxOrder {
 			next := level + 1
 			size := uint64(1) << (2 * next)
 			if pos%size != 0 {

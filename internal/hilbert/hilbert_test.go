@@ -166,6 +166,15 @@ func TestAlignedBlocks(t *testing.T) {
 	}
 }
 
+// The widest range the largest curve allows is one top-level block.
+func TestCellBoundsFullRangeOfLargestCurve(t *testing.T) {
+	c, _ := New(MaxOrder)
+	minX, minY, maxX, maxY, err := c.CellBounds(0, c.NumCells()-1)
+	if err != nil || minX != 0 || minY != 0 || maxX != c.Side()-1 || maxY != c.Side()-1 {
+		t.Errorf("order-%d full range: (%d,%d)-(%d,%d), err %v", MaxOrder, minX, minY, maxX, maxY, err)
+	}
+}
+
 // CellBounds must equal the brute-force bbox of decoded cells.
 func TestCellBoundsMatchesBruteForce(t *testing.T) {
 	c, _ := New(4) // 256 cells — exhaustive check is cheap

@@ -20,7 +20,10 @@
 // the tree builders use: the caller supplies the randomness stream and a
 // reusable Scratch, so a build performs no per-median allocation and a
 // node's split depends only on its own stream — the property that lets
-// subtrees build in parallel yet release byte-identical trees.
+// subtrees build in parallel yet release byte-identical trees. The
+// sort-based finders (EM, SS, Exact) further implement SortedFinder, which
+// takes values already sorted: the builders sort once at the root instead
+// of once per median.
 package median
 
 import (
@@ -63,6 +66,22 @@ type StreamFinder interface {
 	// MedianAt is Median drawing randomness from src and using sc for all
 	// temporary buffers. values may be overwritten.
 	MedianAt(src rng.Source, sc *Scratch, values []float64, lo, hi, eps float64) (float64, error)
+}
+
+// SortedFinder is a StreamFinder whose answer depends only on the sorted
+// multiset of its (clamped) input. MedianSorted takes that multiset already
+// clamped into [lo, hi] and sorted ascending, and never writes to it, so a
+// caller that keeps its data sorted — the kd and Hilbert-R builders, which
+// sort each axis once at the root — skips the per-call sort. For every
+// input, MedianAt(src, sc, v, lo, hi, eps) equals MedianSorted over v
+// clamped and sorted. Finders whose answer depends on input order (NM, the
+// Sampled wrapper) deliberately do not implement it.
+type SortedFinder interface {
+	StreamFinder
+
+	// MedianSorted is MedianAt over values that are already clamped into
+	// [lo, hi] and sorted ascending. sorted is read, never written.
+	MedianSorted(src rng.Source, sc *Scratch, sorted []float64, lo, hi, eps float64) (float64, error)
 }
 
 // Streamable reports whether f's MedianAt really is order-independent: f
@@ -147,14 +166,18 @@ func (e Exact) Median(values []float64, lo, hi, eps float64) (float64, error) {
 
 // MedianAt implements StreamFinder; the exact median consumes no
 // randomness, so src is ignored.
-func (Exact) MedianAt(_ rng.Source, sc *Scratch, values []float64, lo, hi, _ float64) (float64, error) {
+func (e Exact) MedianAt(src rng.Source, sc *Scratch, values []float64, lo, hi, eps float64) (float64, error) {
+	return e.MedianSorted(src, sc, sc.sortedClamped(values, lo, hi), lo, hi, eps)
+}
+
+// MedianSorted implements SortedFinder.
+func (Exact) MedianSorted(_ rng.Source, _ *Scratch, s []float64, lo, hi, _ float64) (float64, error) {
 	if err := checkDomain(lo, hi); err != nil {
 		return 0, err
 	}
-	if len(values) == 0 {
+	if len(s) == 0 {
 		return (lo + hi) / 2, nil
 	}
-	s := sc.sortedClamped(values, lo, hi)
 	return s[lowerMedianIndex(len(s))-1], nil
 }
 
@@ -178,19 +201,23 @@ func (e *EM) Median(values []float64, lo, hi, eps float64) (float64, error) {
 
 // MedianAt implements StreamFinder.
 func (e *EM) MedianAt(src rng.Source, sc *Scratch, values []float64, lo, hi, eps float64) (float64, error) {
+	return e.MedianSorted(src, sc, sc.sortedClamped(values, lo, hi), lo, hi, eps)
+}
+
+// MedianSorted implements SortedFinder.
+func (e *EM) MedianSorted(src rng.Source, sc *Scratch, s []float64, lo, hi, eps float64) (float64, error) {
 	if err := checkDomain(lo, hi); err != nil {
 		return 0, err
 	}
 	if eps < 0 {
 		return 0, fmt.Errorf("median: negative eps %v", eps)
 	}
-	n := len(values)
+	n := len(s)
 	if n == 0 {
 		// All ranks are 0 = rank of the median: the mechanism is uniform
 		// over the domain.
 		return src.UniformIn(lo, hi), nil
 	}
-	s := sc.sortedClamped(values, lo, hi)
 	m := lowerMedianIndex(n)
 	// Intervals I_k = [x_k, x_{k+1}) for k = 0..n with x_0 = lo, x_{n+1} = hi
 	// (1-based data). Interval k has rank k; score is -|k - m|.
@@ -251,17 +278,21 @@ func (s *SS) Median(values []float64, lo, hi, eps float64) (float64, error) {
 
 // MedianAt implements StreamFinder.
 func (s *SS) MedianAt(src rng.Source, sc *Scratch, values []float64, lo, hi, eps float64) (float64, error) {
+	return s.MedianSorted(src, sc, sc.sortedClamped(values, lo, hi), lo, hi, eps)
+}
+
+// MedianSorted implements SortedFinder.
+func (s *SS) MedianSorted(src rng.Source, _ *Scratch, v []float64, lo, hi, eps float64) (float64, error) {
 	if err := checkDomain(lo, hi); err != nil {
 		return 0, err
 	}
-	if len(values) == 0 {
+	if len(v) == 0 {
 		return src.UniformIn(lo, hi), nil
 	}
 	xi, err := dp.SmoothXi(eps, s.Delta)
 	if err != nil {
 		return 0, err
 	}
-	v := sc.sortedClamped(values, lo, hi)
 	sigma := SmoothSensitivity(v, lo, hi, xi)
 	m := lowerMedianIndex(len(v))
 	out := v[m-1] + (2*sigma/eps)*src.Laplace(1)

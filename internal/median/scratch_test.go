@@ -1,6 +1,8 @@
 package median
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"psd/internal/rng"
@@ -93,6 +95,96 @@ func TestMedianAtAllocationFree(t *testing.T) {
 		call := func() {
 			copy(in, vals)
 			if _, err := f.MedianAt(rng.At(42, 11, 2), &sc, in, 0, 1, 0.4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call() // warm the scratch buffers
+		if avg := testing.AllocsPerRun(50, call); avg != 0 {
+			t.Errorf("%s: %v allocs/op on a warm scratch, want 0", name, avg)
+		}
+	}
+}
+
+// sortedFinders enumerates the finders whose answer depends only on the
+// sorted input, the ones the builders feed presorted data.
+func sortedFinders() map[string]SortedFinder {
+	return map[string]SortedFinder{
+		"exact": Exact{},
+		"em":    &EM{},
+		"ss":    &SS{Delta: 1e-4},
+	}
+}
+
+// The order-dependent finders must not claim the sorted fast path: a
+// builder that fed them presorted data would change their releases.
+func TestSortedFinderMembership(t *testing.T) {
+	for name, f := range streamFinders() {
+		_, sorted := f.(SortedFinder)
+		want := name == "exact" || name == "em" || name == "ss"
+		if sorted != want {
+			t.Errorf("%s: SortedFinder = %v, want %v", name, sorted, want)
+		}
+	}
+}
+
+// MedianSorted over the clamped, sorted input must return exactly what
+// MedianAt returns over the raw input (bit for bit), and must not write to
+// its input.
+func TestMedianSortedMatchesMedianAt(t *testing.T) {
+	src := rng.New(12)
+	for _, n := range []int{0, 1, 2, 3, 4, 7, 64, 513} {
+		raw := make([]float64, n)
+		for i := range raw {
+			switch i % 5 {
+			case 0:
+				raw[i] = -3 // clamped up to lo
+			case 1:
+				raw[i] = 12 // clamped down to hi
+			case 2:
+				raw[i] = 5 // duplicates
+			default:
+				raw[i] = src.UniformIn(-2, 11)
+			}
+		}
+		sorted := make([]float64, n)
+		for i, v := range raw {
+			sorted[i] = min(max(v, 0), 10)
+		}
+		slices.Sort(sorted)
+		frozen := slices.Clone(sorted)
+		for name, f := range sortedFinders() {
+			var sc1, sc2 Scratch
+			want, err := f.MedianAt(rng.At(3, uint64(n), 1), &sc1, slices.Clone(raw), 0, 10, 0.7)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", name, n, err)
+			}
+			got, err := f.MedianSorted(rng.At(3, uint64(n), 1), &sc2, sorted, 0, 10, 0.7)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", name, n, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s n=%d: MedianSorted %v, MedianAt %v", name, n, got, want)
+			}
+			if !slices.Equal(sorted, frozen) {
+				t.Fatalf("%s n=%d: MedianSorted wrote to its input", name, n)
+			}
+		}
+	}
+}
+
+// The sorted entry point is as allocation-free as MedianAt once the
+// scratch is warm.
+func TestMedianSortedAllocationFree(t *testing.T) {
+	vals := make([]float64, 2048)
+	seedSrc := rng.New(6)
+	for i := range vals {
+		vals[i] = seedSrc.UniformIn(0, 1)
+	}
+	slices.Sort(vals)
+	for name, f := range sortedFinders() {
+		var sc Scratch
+		call := func() {
+			if _, err := f.MedianSorted(rng.At(42, 11, 2), &sc, vals, 0, 1, 0.4); err != nil {
 				t.Fatal(err)
 			}
 		}
