@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -21,11 +20,11 @@ type queryKey [4]float64
 const cacheShards = 16
 
 // Cache is a bounded, sharded LRU map from query rectangles to answers.
-// Each shard holds its own lock, hash bucket map and recency list, so
-// concurrent readers on different shards never contend. A nil *Cache is
-// valid and always misses, which is how caching is disabled. Hit/miss
-// accounting lives in the per-release stats, not here, so the hot path
-// pays no extra atomics.
+// Each shard holds its own lock, index map and recency list, so concurrent
+// readers on different shards never contend. A nil *Cache is valid and
+// always misses, which is how caching is disabled. Hit/miss accounting
+// lives in the per-release stats, not here, so the hot path pays no extra
+// atomics.
 type Cache struct {
 	shards [cacheShards]cacheShard
 	// evictions counts answers displaced by capacity pressure — the signal
@@ -34,16 +33,28 @@ type Cache struct {
 	evictions atomic.Uint64
 }
 
+// cacheShard is an exact LRU with no pointers anywhere: entries live in a
+// slab, the recency list links them by slab index, and the map maps keys to
+// slab indices. The garbage collector never scans any of it, a miss
+// allocates nothing once the slab is full (an eviction reuses the tail
+// slot), and the slab grows by append as the shard fills, so a release
+// whose cache never fills never pays for its capacity.
 type cacheShard struct {
-	mu    sync.Mutex
-	items map[queryKey]*list.Element
-	order *list.List // front = most recently used
-	cap   int
+	mu      sync.Mutex
+	items   map[queryKey]int32
+	entries []cacheEntry
+	// head is the most and tail the least recently used entry (-1 when
+	// empty).
+	head, tail int32
+	cap        int
 }
 
+// cacheEntry is one slab slot: an answer and its recency-list links (slab
+// indices, -1 at either end).
 type cacheEntry struct {
-	key queryKey
-	val float64
+	key        queryKey
+	val        float64
+	prev, next int32
 }
 
 // NewCache returns a cache holding at most capacity answers in total,
@@ -56,8 +67,9 @@ func NewCache(capacity int) *Cache {
 	c := &Cache{}
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
-			items: make(map[queryKey]*list.Element, perShard),
-			order: list.New(),
+			items: make(map[queryKey]int32, perShard),
+			head:  -1,
+			tail:  -1,
 			cap:   perShard,
 		}
 	}
@@ -77,6 +89,41 @@ func shardOf(k queryKey) int {
 	return int(h & (cacheShards - 1))
 }
 
+// unlink removes slot i from the recency list.
+func (s *cacheShard) unlink(i int32) {
+	e := &s.entries[i]
+	if e.prev >= 0 {
+		s.entries[e.prev].next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next >= 0 {
+		s.entries[e.next].prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+}
+
+// pushFront links slot i in as the most recently used entry.
+func (s *cacheShard) pushFront(i int32) {
+	e := &s.entries[i]
+	e.prev, e.next = -1, s.head
+	if s.head >= 0 {
+		s.entries[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
+}
+
+// touch marks slot i most recently used.
+func (s *cacheShard) touch(i int32) {
+	if i != s.head {
+		s.unlink(i)
+		s.pushFront(i)
+	}
+}
+
 // Get returns the cached answer for k, marking it most recently used.
 func (c *Cache) Get(k queryKey) (float64, bool) {
 	if c == nil {
@@ -84,12 +131,12 @@ func (c *Cache) Get(k queryKey) (float64, bool) {
 	}
 	s := &c.shards[shardOf(k)]
 	s.mu.Lock()
-	el, ok := s.items[k]
+	i, ok := s.items[k]
 	var v float64
 	if ok {
-		s.order.MoveToFront(el)
+		s.touch(i)
 		// Read under the lock: Put updates existing entries in place.
-		v = el.Value.(*cacheEntry).val
+		v = s.entries[i].val
 	}
 	s.mu.Unlock()
 	return v, ok
@@ -103,21 +150,26 @@ func (c *Cache) Put(k queryKey, v float64) {
 	}
 	s := &c.shards[shardOf(k)]
 	s.mu.Lock()
-	if el, ok := s.items[k]; ok {
-		el.Value.(*cacheEntry).val = v
-		s.order.MoveToFront(el)
+	if i, ok := s.items[k]; ok {
+		s.entries[i].val = v
+		s.touch(i)
 		s.mu.Unlock()
 		return
 	}
-	if s.order.Len() >= s.cap {
-		oldest := s.order.Back()
-		if oldest != nil {
-			delete(s.items, oldest.Value.(*cacheEntry).key)
-			s.order.Remove(oldest)
-			c.evictions.Add(1)
-		}
+	var i int32
+	if len(s.entries) < s.cap {
+		i = int32(len(s.entries))
+		s.entries = append(s.entries, cacheEntry{})
+	} else {
+		// Full: the least recently used slot takes the new answer.
+		i = s.tail
+		delete(s.items, s.entries[i].key)
+		s.unlink(i)
+		c.evictions.Add(1)
 	}
-	s.items[k] = s.order.PushFront(&cacheEntry{key: k, val: v})
+	s.entries[i].key, s.entries[i].val = k, v
+	s.pushFront(i)
+	s.items[k] = i
 	s.mu.Unlock()
 }
 
@@ -138,7 +190,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.order.Len()
+		n += len(s.entries)
 		s.mu.Unlock()
 	}
 	return n

@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"container/list"
+	"math"
+	"math/rand/v2"
 	"sync"
 	"testing"
 )
@@ -38,25 +41,164 @@ func TestCacheBounded(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	// A capacity-16 cache has one slot per shard; within a shard the oldest
-	// entry goes first. Fill one slot, touch it, add a colliding entry, and
-	// confirm the recently used one survived. To guarantee a collision we
-	// find two keys in the same shard.
-	c := NewCache(cacheShards)
-	a := key(1, 2, 3, 4)
-	shard := shardOf(a)
-	var b queryKey
-	for i := 5.0; ; i++ {
-		b = key(i, i, i+1, i+1)
-		if shardOf(b) == shard && b != a {
-			break
+	// A capacity-64 cache has four slots per shard. Fill one shard with
+	// a, b, c, d, refresh a by a Get and c by an update, then insert two
+	// more colliding keys: each insert must evict exactly the least
+	// recently used entry.
+	c := NewCache(4 * cacheShards)
+	shard := shardOf(key(1, 2, 3, 4))
+	var ks []queryKey
+	for i := 1.0; len(ks) < 6; i++ {
+		if k := key(i, i, i+1, i+1); shardOf(k) == shard {
+			ks = append(ks, k)
 		}
 	}
-	c.Put(a, 1)
-	c.Get(a) // a is now most recently used in its shard
-	c.Put(b, 2)
-	if _, ok := c.Get(b); !ok {
-		t.Fatal("fresh entry b evicted")
+	a, b, cc, d, e, f := ks[0], ks[1], ks[2], ks[3], ks[4], ks[5]
+	for i, k := range ks[:4] {
+		c.Put(k, float64(i))
+	} // recency, most recent first: d c b a
+	c.Get(a)     // a d c b
+	c.Put(cc, 9) // c a d b
+	c.Put(e, 4)  // evicts b: e c a d
+	c.Put(f, 5)  // evicts d: f e c a
+	if c.Evictions() != 2 || c.Len() != 4 {
+		t.Fatalf("evictions %d, len %d, want 2 and 4", c.Evictions(), c.Len())
+	}
+	for _, k := range []queryKey{b, d} {
+		if _, ok := c.Get(k); ok {
+			t.Fatalf("%v survived eviction", k)
+		}
+	}
+	for k, want := range map[queryKey]float64{a: 0, cc: 9, e: 4, f: 5} {
+		if v, ok := c.Get(k); !ok || v != want {
+			t.Fatalf("Get(%v) = (%v,%v), want (%v,true)", k, v, ok, want)
+		}
+	}
+}
+
+// refCache is the reference LRU the slab cache must agree with: the same
+// shards, shard hash and per-shard capacity, over container/list.
+type refCache struct {
+	shards    [cacheShards]refShard
+	evictions uint64
+}
+
+type refShard struct {
+	items map[queryKey]*list.Element
+	order *list.List // front = most recently used
+	cap   int
+}
+
+type refEntry struct {
+	key queryKey
+	val float64
+}
+
+func newRefCache(capacity int) *refCache {
+	c := &refCache{}
+	for i := range c.shards {
+		c.shards[i] = refShard{
+			items: map[queryKey]*list.Element{},
+			order: list.New(),
+			cap:   (capacity + cacheShards - 1) / cacheShards,
+		}
+	}
+	return c
+}
+
+func (c *refCache) Get(k queryKey) (float64, bool) {
+	s := &c.shards[shardOf(k)]
+	el, ok := s.items[k]
+	if !ok {
+		return 0, false
+	}
+	s.order.MoveToFront(el)
+	return el.Value.(*refEntry).val, true
+}
+
+func (c *refCache) Put(k queryKey, v float64) {
+	s := &c.shards[shardOf(k)]
+	if el, ok := s.items[k]; ok {
+		el.Value.(*refEntry).val = v
+		s.order.MoveToFront(el)
+		return
+	}
+	if s.order.Len() >= s.cap {
+		oldest := s.order.Back()
+		delete(s.items, oldest.Value.(*refEntry).key)
+		s.order.Remove(oldest)
+		c.evictions++
+	}
+	s.items[k] = s.order.PushFront(&refEntry{key: k, val: v})
+}
+
+func (c *refCache) Len() int {
+	n := 0
+	for i := range c.shards {
+		n += c.shards[i].order.Len()
+	}
+	return n
+}
+
+// TestCacheMatchesReference drives the slab cache and the container/list
+// reference through the same random Get/Put sequences. Keys come from a
+// pool about twice the capacity, so hits, misses, in-place updates and
+// evictions all occur; every result, Len and Evictions must agree.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, capacity := range []int{16, 17, 40, 64, 100, 256} {
+		rnd := rand.New(rand.NewPCG(uint64(capacity), 1))
+		c, ref := NewCache(capacity), newRefCache(capacity)
+		pool := make([]queryKey, 2*capacity+7)
+		for i := range pool {
+			x := float64(i)
+			pool[i] = key(x, -x, x+0.5, x*x)
+		}
+		for op := 0; op < 50*capacity; op++ {
+			k := pool[rnd.IntN(len(pool))]
+			if rnd.IntN(2) == 0 {
+				v, ok := c.Get(k)
+				rv, rok := ref.Get(k)
+				if ok != rok || math.Float64bits(v) != math.Float64bits(rv) {
+					t.Fatalf("cap %d op %d: Get(%v) = (%v,%v), reference (%v,%v)", capacity, op, k, v, ok, rv, rok)
+				}
+			} else {
+				v := float64(op)
+				c.Put(k, v)
+				ref.Put(k, v)
+			}
+			if c.Len() != ref.Len() || c.Evictions() != ref.evictions {
+				t.Fatalf("cap %d op %d: len %d evictions %d, reference %d and %d",
+					capacity, op, c.Len(), c.Evictions(), ref.Len(), ref.evictions)
+			}
+		}
+		if c.Evictions() == 0 {
+			t.Fatalf("cap %d: no evictions exercised", capacity)
+		}
+	}
+}
+
+// TestCacheMissAllocs pins the miss path of a full cache at zero
+// allocations: a Get that misses and a Put that evicts reuse the slab.
+func TestCacheMissAllocs(t *testing.T) {
+	const capacity = 256
+	c := NewCache(capacity)
+	for i := 0; i < 4*capacity; i++ {
+		c.Put(key(float64(i), 0, 1, 1), 1)
+	}
+	next := 4 * capacity
+	allocs := testing.AllocsPerRun(1000, func() {
+		k := key(float64(next), 0, 1, 1)
+		next++
+		if _, ok := c.Get(k); ok {
+			t.Fatal("fresh key hit")
+		}
+		c.Put(k, 1)
+	})
+	if allocs != 0 {
+		t.Fatalf("miss + evicting Put: %v allocs, want 0", allocs)
+	}
+	if c.Len() != capacity {
+		t.Fatalf("len %d, want %d", c.Len(), capacity)
 	}
 }
 

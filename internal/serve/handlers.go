@@ -69,7 +69,7 @@ const DefaultMaxBatch = 65536
 //	GET    /stats                        process-level counters (ServerStats)
 //	GET    /v1/releases                  list releases, metadata + quarantine
 //	POST   /v1/releases/{name}           register/replace a release from the body
-//	                                     (JSON or binary v2, sniffed)
+//	                                     (JSON, binary v3 or legacy v2, sniffed)
 //	DELETE /v1/releases/{name}           unregister
 //	GET    /v1/releases/{name}/count     one query: ?rect=lox,loy,hix,hiy
 //	POST   /v1/releases/{name}/batch     many queries: {"rects":[[4]...]}
@@ -296,19 +296,15 @@ func (a *API) handleCount(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// batchRequest is the body of POST /v1/releases/{name}/batch.
-type batchRequest struct {
-	Rects [][4]float64 `json:"rects"`
-}
-
 func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rel, ok := a.release(w, r)
 	if !ok {
 		return
 	}
-	var req batchRequest
-	body := http.MaxBytesReader(w, r.Body, a.maxBody())
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer putBatchScratch(sc)
+	rects, err := sc.decode(http.MaxBytesReader(w, r.Body, a.maxBody()))
+	if err != nil {
 		// An over--max-body request surfaces as a decode error; report it as
 		// 413 like the over-MaxBatch path below, not as a malformed body.
 		if tooLarge(err) {
@@ -319,37 +315,42 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad batch body: %v", err)
 		return
 	}
-	if len(req.Rects) > a.maxBatch() {
+	if len(rects) > a.maxBatch() {
 		writeError(w, http.StatusRequestEntityTooLarge,
-			"batch of %d exceeds limit %d", len(req.Rects), a.maxBatch())
+			"batch of %d exceeds limit %d", len(rects), a.maxBatch())
 		return
 	}
-	qs := make([]psd.Rect, len(req.Rects))
-	for i, v := range req.Rects {
+	qs := sc.qs[:0]
+	for i, v := range rects {
 		q, err := rectFrom(v)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "rect %d: %v", i, err)
 			return
 		}
-		qs[i] = q
+		qs = append(qs, q)
 	}
+	sc.qs = qs
 	if a.testHookBatch != nil {
 		a.testHookBatch()
 	}
 	// One node-major engine call answers every miss; hits fill from the
 	// cache per query, exactly as the single-query endpoint would.
-	vals := make([]float64, len(qs))
+	if cap(sc.vals) < len(qs) {
+		sc.vals = make([]float64, len(qs))
+	}
+	vals := sc.vals[:len(qs)]
 	hits, bst, err := rel.CountBatchIntoCtx(r.Context(), vals, qs)
 	if err != nil {
 		a.countErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"release":    rel.Name,
-		"counts":     vals,
-		"cache_hits": hits,
-		"stats":      bst,
-	})
+	var encoded bool
+	sc.out, encoded = appendBatchReply(sc.out[:0], rel.Name, vals, hits, bst)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if encoded { // as writeJSON: a failed encode leaves the body empty
+		_, _ = w.Write(sc.out)
+	}
 }
 
 func (a *API) handleRegions(w http.ResponseWriter, r *http.Request) {
