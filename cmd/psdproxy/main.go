@@ -161,6 +161,7 @@ func run(args []string, logger *log.Logger) error {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return fmt.Errorf("shutdown: %w", err)
 	}
+	p.CloseIdleConnections()
 	logger.Print("bye")
 	return nil
 }

@@ -57,15 +57,21 @@ type Backend struct {
 	lastErr    string
 
 	// Data-path counters, surfaced in /metrics and /v1/backends.
-	Requests atomic.Uint64 // attempts forwarded to this backend
-	Failures atomic.Uint64 // attempts that failed (transport error or 5xx)
-	Probes   atomic.Uint64 // health probes issued
+	Requests   atomic.Uint64 // attempts forwarded to this backend
+	Failures   atomic.Uint64 // attempts that failed (transport error or 5xx)
+	Probes     atomic.Uint64 // health probes issued
 	ProbeFails atomic.Uint64
+
+	// target is URL parsed for the data path; connMu guards idle, the
+	// pool of keep-alive connections (conn.go).
+	target target
+	connMu sync.Mutex
+	idle   []*backendConn
 }
 
 // NewBackend returns a backend for url with a default breaker.
 func NewBackend(url string) *Backend {
-	return &Backend{URL: url, Breaker: &Breaker{}}
+	return &Backend{URL: url, Breaker: &Breaker{}, target: parseTarget(url)}
 }
 
 // State returns the backend's current health state.

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -54,8 +53,6 @@ type Proxy struct {
 	// RolloutPoll is the /readyz poll interval during rollouts (0 means
 	// DefaultRolloutPoll).
 	RolloutPoll time.Duration
-	// Client issues backend requests (nil means http.DefaultClient).
-	Client *http.Client
 	// Logger receives failover and degradation lines (nil means the
 	// standard logger).
 	Logger *log.Logger
@@ -127,6 +124,15 @@ func (p *Proxy) Ring() *Ring { return p.ring }
 // SetReady flips the proxy's readiness gate (drain handling in main).
 func (p *Proxy) SetReady(ready bool) { p.ready.Store(ready) }
 
+// CloseIdleConnections closes every pooled idle backend connection. Call it
+// once the front server has shut down; otherwise the pooled connections
+// stay open until the garbage collector finds them.
+func (p *Proxy) CloseIdleConnections() {
+	for _, b := range p.ordered {
+		b.CloseIdleConnections()
+	}
+}
+
 func (p *Proxy) retriesN() int {
 	if p.Retries < 0 {
 		return 0
@@ -149,13 +155,6 @@ func (p *Proxy) maxBody() int64 {
 		return p.MaxBodyBytes
 	}
 	return DefaultProxyMaxBody
-}
-
-func (p *Proxy) client() *http.Client {
-	if p.Client != nil {
-		return p.Client
-	}
-	return http.DefaultClient
 }
 
 func (p *Proxy) logf(format string, args ...any) {
@@ -433,40 +432,24 @@ func (p *Proxy) handleProxy(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusServiceUnavailable, "no ready replica for %q", key)
 }
 
-// attempt issues one buffered round trip to backend b.
+// attempt issues one buffered round trip to backend b over one of its
+// pooled connections (conn.go). The attempt ends at the earlier of
+// AttemptTimeout from now and the request's own deadline, or when the
+// client goes away.
 func (p *Proxy) attempt(ctx context.Context, b *Backend, r *http.Request, body []byte) (*attemptResult, error) {
 	b.Requests.Add(1)
-	actx := ctx
+	deadline, _ := ctx.Deadline()
 	if p.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, p.AttemptTimeout)
-		defer cancel()
+		if d := time.Now().Add(p.AttemptTimeout); deadline.IsZero() || d.Before(deadline) {
+			deadline = d
+		}
 	}
-	url := b.URL + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(actx, r.Method, url, bytes.NewReader(body))
+	resp, respBody, err := b.roundTrip(ctx, deadline, r, body, p.maxBody())
 	if err != nil {
-		return nil, err
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	resp, err := p.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, p.maxBody()+1))
-	if err != nil {
-		// Mid-body failure (stalled or killed backend): the buffered
-		// response is unusable, so this attempt failed and the next
+		// Mid-body failures (a stalled or killed backend) included, no
+		// usable response came back: this attempt failed and the next
 		// replica gets its turn.
-		return nil, fmt.Errorf("reading response body: %w", err)
-	}
-	if int64(len(respBody)) > p.maxBody() {
-		return nil, fmt.Errorf("response body exceeds the %d-byte limit", p.maxBody())
+		return nil, err
 	}
 	return &attemptResult{
 		status:  resp.StatusCode,

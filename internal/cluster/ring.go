@@ -14,7 +14,7 @@
 package cluster
 
 import (
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -109,19 +109,22 @@ func (r *Ring) Successors(key string, n int) []string {
 	// First vnode strictly after h, wrapping.
 	start := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] > h })
 	out := make([]string, 0, n)
-	taken := make(map[int]bool, n)
 	for i := 0; i < len(r.hashes) && len(out) < n; i++ {
-		idx := r.owner[(start+i)%len(r.hashes)]
-		if !taken[idx] {
-			taken[idx] = true
-			out = append(out, r.members[idx])
+		if m := r.members[r.owner[(start+i)%len(r.hashes)]]; !slices.Contains(out, m) {
+			out = append(out, m) // out is at most the fleet size: a scan beats a set
 		}
 	}
 	return out
 }
 
+// hash64 is 64-bit FNV-1a (hash/fnv's New64a), inlined so hashing a
+// routed key allocates nothing.
 func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
 }

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -99,5 +101,42 @@ func TestRingStabilityUnderMemberLoss(t *testing.T) {
 	}
 	if moved != 0 {
 		t.Fatalf("%d keys moved between surviving members after losing one", moved)
+	}
+}
+
+// TestRingSuccessorsOrderUnchanged pins Successors to the reference walk it
+// replaced, which hashed with hash/fnv and deduplicated through a set: the
+// same failover order for every key, fleet size and prefix length.
+func TestRingSuccessorsOrderUnchanged(t *testing.T) {
+	reference := func(r *Ring, key string, n int) []string {
+		if len(r.hashes) == 0 || n <= 0 {
+			return nil
+		}
+		n = min(n, len(r.members))
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		start := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] > h.Sum64() })
+		out := make([]string, 0, n)
+		taken := make(map[int]bool, n)
+		for i := 0; i < len(r.hashes) && len(out) < n; i++ {
+			idx := r.owner[(start+i)%len(r.hashes)]
+			if !taken[idx] {
+				taken[idx] = true
+				out = append(out, r.members[idx])
+			}
+		}
+		return out
+	}
+	all := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1", "http://e:1"}
+	for size := 1; size <= len(all); size++ {
+		r := NewRing(all[:size], 16)
+		for i := 0; i < 500; i++ {
+			key := fmt.Sprintf("release-%d", i)
+			for n := 1; n <= size+1; n++ {
+				if got, want := r.Successors(key, n), reference(r, key, n); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d members, key %q, n=%d: successors %v, want %v", size, key, n, got, want)
+				}
+			}
+		}
 	}
 }

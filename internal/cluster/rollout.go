@@ -314,7 +314,7 @@ func (p *Proxy) fetchManifest(ctx context.Context, baseURL string) (*serve.Manif
 	if err != nil {
 		return nil, err
 	}
-	resp, err := p.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +344,7 @@ func (p *Proxy) applyManifest(ctx context.Context, baseURL string, m serve.Manif
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -410,7 +410,7 @@ func (p *Proxy) getJSON(ctx context.Context, url string, out any) error {
 	if err != nil {
 		return err
 	}
-	resp, err := p.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

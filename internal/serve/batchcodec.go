@@ -18,7 +18,7 @@ import (
 // rectangle. Anything the scanner does not accept goes to encoding/json
 // unchanged, which stays the only path (and the reference) for every other
 // body; the reply is byte-identical to json.Encoder output of the map the
-// handler used to encode.
+// handler used to encode. The /count reply is appended the same way.
 
 // batchRequest is the body of POST /v1/releases/{name}/batch, as
 // encoding/json decodes it.
@@ -254,6 +254,33 @@ func appendBatchReply(b []byte, name string, vals []float64, hits int, st psd.Qu
 	b = append(b, `,"partial_leaves":`...)
 	b = strconv.AppendInt(b, int64(st.PartialLeaves), 10)
 	return append(b, "}}\n"...), true
+}
+
+// appendCountReply appends the /count reply, byte for byte what
+// json.Encoder writes for
+//
+//	map[string]any{"release": name, "rect": [4]float64{...}, "count": val, "cached": cached}
+//
+// keys sorted, newline-terminated. It returns false if val is not finite;
+// q's bounds always are.
+func appendCountReply(b []byte, name string, q psd.Rect, val float64, cached bool) ([]byte, bool) {
+	if math.IsNaN(val) || math.IsInf(val, 0) {
+		return b, false
+	}
+	b = append(b, `{"cached":`...)
+	b = strconv.AppendBool(b, cached)
+	b = append(b, `,"count":`...)
+	b = appendJSONFloat(b, val)
+	b = append(b, `,"rect":[`...)
+	for i, f := range [4]float64{q.Lo.X, q.Lo.Y, q.Hi.X, q.Hi.Y} {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONFloat(b, f)
+	}
+	b = append(b, `],"release":`...)
+	b = appendJSONString(b, name)
+	return append(b, "}\n"...), true
 }
 
 // appendJSONFloat formats a finite float64 as encoding/json does: like

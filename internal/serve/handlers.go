@@ -7,6 +7,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -134,8 +135,11 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // "name@vN", or a bare name plus ?version=vN time travel — writing a 404
 // (or 400 for a malformed version) on a miss.
 func (a *API) release(w http.ResponseWriter, r *http.Request) (*Release, bool) {
-	name := r.PathValue("name")
-	version := r.URL.Query().Get("version")
+	return a.resolve(w, r.PathValue("name"), r.URL.Query().Get("version"))
+}
+
+// resolve is release with the version parameter already read.
+func (a *API) resolve(w http.ResponseWriter, name, version string) (*Release, bool) {
 	rel, err := a.Registry.Resolve(name, version)
 	if err != nil {
 		status := http.StatusNotFound
@@ -234,12 +238,13 @@ func (a *API) handleDelete(w http.ResponseWriter, r *http.Request) {
 // parseRect parses "lox,loy,hix,hiy" into a finite, ordered rectangle
 // (inverted bounds are swapped, matching psdtool).
 func parseRect(s string) (psd.Rect, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
+	if strings.Count(s, ",") != 3 {
 		return psd.Rect{}, fmt.Errorf("want lox,loy,hix,hiy, got %q", s)
 	}
 	var v [4]float64
-	for i, p := range parts {
+	for i, rest := 0, s; i < len(v); i++ {
+		var p string
+		p, rest, _ = strings.Cut(rest, ",")
 		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return psd.Rect{}, fmt.Errorf("bad coordinate %q", p)
@@ -268,12 +273,35 @@ func rectFrom(v [4]float64) (psd.Rect, error) {
 	return psd.Rect{Lo: psd.Point{X: v[0], Y: v[1]}, Hi: psd.Point{X: v[2], Y: v[3]}}, nil
 }
 
+// countQuery returns the rect and version parameters of a /count query,
+// as u.Query().Get would. A query without escapes ('%', '+') or ';' is
+// scanned in place; any other goes through u.Query.
+func countQuery(u *url.URL) (rect, version string) {
+	raw := u.RawQuery
+	if strings.ContainsAny(raw, "%+;") {
+		q := u.Query()
+		return q.Get("rect"), q.Get("version")
+	}
+	var haveRect, haveVersion bool
+	for raw != "" {
+		var kv string
+		kv, raw, _ = strings.Cut(raw, "&")
+		switch k, v, _ := strings.Cut(kv, "="); {
+		case k == "rect" && !haveRect:
+			rect, haveRect = v, true
+		case k == "version" && !haveVersion:
+			version, haveVersion = v, true
+		}
+	}
+	return rect, version
+}
+
 func (a *API) handleCount(w http.ResponseWriter, r *http.Request) {
-	rel, ok := a.release(w, r)
+	spec, version := countQuery(r.URL)
+	rel, ok := a.resolve(w, r.PathValue("name"), version)
 	if !ok {
 		return
 	}
-	spec := r.URL.Query().Get("rect")
 	if spec == "" {
 		writeError(w, http.StatusBadRequest, "missing ?rect=lox,loy,hix,hiy")
 		return
@@ -288,12 +316,21 @@ func (a *API) handleCount(w http.ResponseWriter, r *http.Request) {
 		a.countErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"release": rel.Name,
-		"rect":    [4]float64{q.Lo.X, q.Lo.Y, q.Hi.X, q.Hi.Y},
-		"count":   val,
-		"cached":  cached,
-	})
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer putBatchScratch(sc)
+	var encoded bool
+	sc.out, encoded = appendCountReply(sc.out[:0], rel.Name, q, val, cached)
+	writeAppended(w, sc.out, encoded)
+}
+
+// writeAppended answers 200 with a reply appended into b. As with
+// writeJSON, a reply that failed to encode leaves the body empty.
+func writeAppended(w http.ResponseWriter, b []byte, encoded bool) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if encoded {
+		_, _ = w.Write(b)
+	}
 }
 
 func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -346,11 +383,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var encoded bool
 	sc.out, encoded = appendBatchReply(sc.out[:0], rel.Name, vals, hits, bst)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if encoded { // as writeJSON: a failed encode leaves the body empty
-		_, _ = w.Write(sc.out)
-	}
+	writeAppended(w, sc.out, encoded)
 }
 
 func (a *API) handleRegions(w http.ResponseWriter, r *http.Request) {
