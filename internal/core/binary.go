@@ -79,7 +79,9 @@ func SniffBinary(prefix []byte) bool {
 // so the (n, err) they return has one unambiguous meaning: n is what
 // actually reached w — on a mid-stream failure included — never inflated by
 // bytes a buffer accepted but never delivered. When crc is non-nil every
-// written byte also feeds it (the v3 body checksum).
+// delivered chunk also feeds it (the v3 body checksum). Hashing whole
+// chunks at flush, not each write's bytes, keeps callers' stack scratch
+// from escaping through the hash interface.
 type artifactWriter struct {
 	w   io.Writer
 	crc hash.Hash64
@@ -102,6 +104,9 @@ func (aw *artifactWriter) flush() {
 		aw.buf = aw.buf[:0]
 		return
 	}
+	if aw.crc != nil {
+		aw.crc.Write(aw.buf) // hash.Hash.Write never errors
+	}
 	n, err := aw.w.Write(aw.buf)
 	if n > len(aw.buf) {
 		n = len(aw.buf)
@@ -119,9 +124,6 @@ func (aw *artifactWriter) write(p []byte) {
 	if aw.err != nil {
 		return
 	}
-	if aw.crc != nil {
-		aw.crc.Write(p) // hash.Hash.Write never errors
-	}
 	for len(p) > 0 {
 		free := cap(aw.buf) - len(aw.buf)
 		if free == 0 {
@@ -137,11 +139,28 @@ func (aw *artifactWriter) write(p []byte) {
 	}
 }
 
-// u64 writes one little-endian uint64.
-func (aw *artifactWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	aw.write(b[:])
+// words writes a bitset's words little-endian, encoding straight into
+// the chunk.
+func (aw *artifactWriter) words(ws []uint64) {
+	for _, v := range ws {
+		if aw.err != nil {
+			return
+		}
+		if cap(aw.buf)-len(aw.buf) < 8 {
+			aw.flush()
+		}
+		aw.buf = binary.LittleEndian.AppendUint64(aw.buf, v)
+	}
+}
+
+// checksum delivers the buffered chunk and returns the checksum of every
+// byte written so far, detaching the hash so later writes (the footer)
+// are not covered.
+func (aw *artifactWriter) checksum() uint64 {
+	aw.flush()
+	sum := aw.crc.Sum64()
+	aw.crc = nil
+	return sum
 }
 
 // zeros writes n zero bytes (section padding).

@@ -106,12 +106,24 @@ func v3LayoutFor(nodes int) v3Layout {
 }
 
 // WriteBinaryV3 serializes the slab in format v3, returning the number of
-// bytes that reached w.
+// bytes that reached w. It is the only binary writer, and it never emits an
+// artifact its own decoder rejects: the header passes the decoder's shape,
+// epsilon and domain checks before any byte is written, and each record
+// passes checkV3Node as it is encoded. A record that fails stops the write
+// before the footer, so the partial output never decodes either.
 func (s *Slab) WriteBinaryV3(w io.Writer) (int64, error) {
 	s.ensureOpen()
-	crc := crc64.New(v3CRCTable)
-	aw := newArtifactWriter(w, crc)
 	n := s.Len()
+	if _, err := checkShape(4, s.height); err != nil {
+		return 0, err
+	}
+	if err := checkEpsilon(s.epsilon); err != nil {
+		return 0, err
+	}
+	if err := checkDomain(flattenRect(s.domain)); err != nil {
+		return 0, err
+	}
+	aw := newArtifactWriter(w, crc64.New(v3CRCTable))
 	lay := v3LayoutFor(n)
 	numPruned := 0
 	for _, word := range s.pruned {
@@ -139,12 +151,15 @@ func (s *Slab) WriteBinaryV3(w io.Writer) (int64, error) {
 	var b [v3RecordSize * 204]byte
 	off := 0
 	for i := 0; i < n; i++ {
-		nd := &s.nodes[i]
-		for c := 0; c < 5; c++ {
-			v := nd[c]
-			if c == 4 && !s.usable.get(i) {
-				v = 0
-			}
+		rec := s.nodes[i]
+		usable := s.usable.get(i)
+		if !usable {
+			rec[4] = 0
+		}
+		if err := checkV3Node(&rec, i, usable); err != nil {
+			return aw.n, err
+		}
+		for _, v := range rec {
 			binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
 			off += 8
 		}
@@ -155,33 +170,18 @@ func (s *Slab) WriteBinaryV3(w io.Writer) (int64, error) {
 	}
 	aw.write(b[:off])
 	aw.zeros(int(lay.usableOff - lay.recordsEnd))
-	for _, word := range s.usable {
-		aw.u64(word)
-	}
+	aw.words(s.usable)
 	aw.zeros(int(lay.prunedOff - (lay.usableOff + lay.bitsetLen)))
-	for _, word := range s.pruned {
-		aw.u64(word)
-	}
+	aw.words(s.pruned)
 	aw.zeros(int(lay.footerOff - (lay.prunedOff + lay.bitsetLen)))
 
-	// The checksum covers everything before the footer; the crc tee has
-	// seen exactly those bytes, so detach it before the footer goes out.
+	// The checksum covers everything before the footer.
 	var ft [v3FooterSize]byte
-	binary.LittleEndian.PutUint64(ft[0:8], crc.Sum64())
+	binary.LittleEndian.PutUint64(ft[0:8], aw.checksum())
 	copy(ft[8:], v3FooterMagic[:])
-	aw.crc = nil
 	aw.write(ft[:])
 	aw.flush()
 	return aw.n, aw.err
-}
-
-// WriteBinaryV3 serializes the release in format v3 after validating it.
-func (r *Release) WriteBinaryV3(w io.Writer) (int64, error) {
-	s, err := r.Slab()
-	if err != nil {
-		return 0, err
-	}
-	return s.WriteBinaryV3(w)
 }
 
 // parseV3Header validates a v3 header (magic already established) and

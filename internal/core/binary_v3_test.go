@@ -21,7 +21,7 @@ import (
 func v3Bytes(t *testing.T, p *PSD) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	n, err := p.Release().WriteBinaryV3(&buf)
+	n, err := p.Sealed().WriteBinaryV3(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

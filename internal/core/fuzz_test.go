@@ -55,7 +55,7 @@ func FuzzReadRelease(f *testing.F) {
 		// trailing garbage, truncations at every 64-aligned section boundary,
 		// checksum and footer-magic damage, and flipped body bits.
 		var b3 bytes.Buffer
-		if _, err := p.Release().WriteBinaryV3(&b3); err != nil {
+		if _, err := p.Sealed().WriteBinaryV3(&b3); err != nil {
 			f.Fatal(err)
 		}
 		v3 := b3.Bytes()

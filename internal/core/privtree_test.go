@@ -182,7 +182,7 @@ func TestPrivTreeRelease(t *testing.T) {
 		t.Fatalf("reopened kind %v", slab.Kind())
 	}
 	var bin bytes.Buffer
-	if _, err := rel.WriteBinaryV3(&bin); err != nil {
+	if _, err := p.Sealed().WriteBinaryV3(&bin); err != nil {
 		t.Fatal(err)
 	}
 	binSlab, err := ReadBinary(bytes.NewReader(bin.Bytes()))

@@ -35,10 +35,12 @@ type Cache struct {
 
 // cacheShard is an exact LRU with no pointers anywhere: entries live in a
 // slab, the recency list links them by slab index, and the map maps keys to
-// slab indices. The garbage collector never scans any of it, a miss
+// slab indices. The garbage collector never scans any of it, and a miss
 // allocates nothing once the slab is full (an eviction reuses the tail
-// slot), and the slab grows by append as the shard fills, so a release
-// whose cache never fills never pays for its capacity.
+// slot). Both the slab (by doubling, up to the capacity) and the map
+// (unsized at creation) grow as the shard fills, so a release whose cache
+// never fills never pays for its capacity: every loaded version of a
+// release family gets a cache, and most of them are never queried.
 type cacheShard struct {
 	mu      sync.Mutex
 	items   map[queryKey]int32
@@ -67,7 +69,7 @@ func NewCache(capacity int) *Cache {
 	c := &Cache{}
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
-			items: make(map[queryKey]int32, perShard),
+			items: make(map[queryKey]int32),
 			head:  -1,
 			tail:  -1,
 			cap:   perShard,
@@ -159,6 +161,13 @@ func (c *Cache) Put(k queryKey, v float64) {
 	var i int32
 	if len(s.entries) < s.cap {
 		i = int32(len(s.entries))
+		if len(s.entries) == cap(s.entries) {
+			// Double, but never past the shard's capacity: append's own
+			// growth would overshoot it by up to a sixth.
+			grown := make([]cacheEntry, len(s.entries), min(max(2*len(s.entries), 16), s.cap))
+			copy(grown, s.entries)
+			s.entries = grown
+		}
 		s.entries = append(s.entries, cacheEntry{})
 	} else {
 		// Full: the least recently used slot takes the new answer.
@@ -179,6 +188,36 @@ func (c *Cache) Evictions() uint64 {
 		return 0
 	}
 	return c.evictions.Load()
+}
+
+// cacheEntryBytes is the size of one cacheEntry slab slot (a 32-byte key,
+// an 8-byte answer, two int32 links); TestCacheBytes pins it.
+const cacheEntryBytes = 48
+
+// mapSlotBytes approximates one occupied slot of a shard's index map: the
+// 32-byte key, the 4-byte slab index padded to the key's alignment, and
+// one control byte.
+const mapSlotBytes = 41
+
+// Bytes estimates the memory the cache holds: the entry slabs at their
+// capacity plus the index maps at 7/16 load, the load of a map table that
+// has just doubled. Eviction churn leaves tombstones that lower the real
+// load further, so this is a floor: a full 65536-entry cache measured
+// 9.4MB of heap once filled (estimate 9.3MB) and 15.7MB after 8M evicting
+// Puts.
+func (c *Cache) Bytes() int64 {
+	if c == nil {
+		return 0
+	}
+	var n int64
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += int64(cap(s.entries))*cacheEntryBytes +
+			int64(len(s.items))*mapSlotBytes*16/7
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // Len returns the number of cached answers.

@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -199,6 +201,49 @@ func TestCacheMissAllocs(t *testing.T) {
 	}
 	if c.Len() != capacity {
 		t.Fatalf("len %d, want %d", c.Len(), capacity)
+	}
+}
+
+// TestNewCacheLazy: a fresh cache costs what it holds, not its capacity.
+// Every loaded version of a release family gets one at psdserve's default
+// -cache, and most versions are never queried.
+func TestNewCacheLazy(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := NewCache(1 << 16)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+		t.Fatalf("NewCache(1<<16) allocated %d bytes, want < 64KB", d)
+	}
+}
+
+// TestCacheBytes: the estimate starts at zero, grows with the entries, and
+// its slab term uses the real entry size and capacity.
+func TestCacheBytes(t *testing.T) {
+	if got := reflect.TypeOf(cacheEntry{}).Size(); got != cacheEntryBytes {
+		t.Fatalf("cacheEntry is %d bytes, cacheEntryBytes says %d", got, cacheEntryBytes)
+	}
+	var nilCache *Cache
+	if nilCache.Bytes() != 0 {
+		t.Fatal("nil cache reports bytes")
+	}
+	c := NewCache(1 << 10)
+	if c.Bytes() != 0 {
+		t.Fatalf("empty cache reports %d bytes", c.Bytes())
+	}
+	for i := 0; i < 4<<10; i++ {
+		c.Put(key(float64(i), 0, 1, 1), 1)
+	}
+	min := int64(c.Len()) * (cacheEntryBytes + mapSlotBytes)
+	if got := c.Bytes(); got < min {
+		t.Fatalf("full cache reports %d bytes, want >= %d", got, min)
+	}
+	// The slab grows to the shard's capacity and no further.
+	for i := range c.shards {
+		if s := &c.shards[i]; cap(s.entries) != s.cap {
+			t.Fatalf("shard %d: slab capacity %d, shard capacity %d", i, cap(s.entries), s.cap)
+		}
 	}
 }
 

@@ -176,13 +176,5 @@ func (g *Registry) pullManifestArtifact(e ManifestEntry) (*Release, error) {
 	if err != nil {
 		return nil, fmt.Errorf("release %q: %s: %w", e.Name, e.Path, err)
 	}
-	return &Release{
-		Name:       e.Name,
-		Slab:       slab,
-		Source:     e.Path,
-		Bytes:      int64(len(data)),
-		LoadedAt:   time.Now(),
-		NumRegions: slab.NumRegions(),
-		cache:      NewCache(g.cacheSize),
-	}, nil
+	return g.newRelease(e.Name, slab, e.Path, int64(len(data))), nil
 }

@@ -286,6 +286,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
+	rel, _ := reg.Get("roads")
+	if rel.Stats().CacheBytes <= 0 || rel.Bytes <= 0 {
+		t.Fatalf("cache_bytes %d, artifact bytes %d; want both > 0", rel.Stats().CacheBytes, rel.Bytes)
+	}
 	for _, want := range []string{
 		"# TYPE psdserve_ready gauge",
 		"psdserve_ready 1",
@@ -293,6 +297,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE psdserve_release_requests_total counter",
 		`psdserve_release_requests_total{release="roads"} 2`,
 		`psdserve_release_cache_hits_total{release="roads"} 1`,
+		"# TYPE psdserve_release_cache_bytes gauge",
+		fmt.Sprintf(`psdserve_release_cache_bytes{release="roads"} %d`, rel.Stats().CacheBytes),
+		"# TYPE psdserve_release_artifact_bytes gauge",
+		fmt.Sprintf(`psdserve_release_artifact_bytes{release="roads"} %d`, rel.Bytes),
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, text)

@@ -99,6 +99,8 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			func(s StatsSnapshot) float64 { return s.CacheHitRate }},
 		{"psdserve_release_cache_len", "gauge", "Answers currently cached, per release.",
 			func(s StatsSnapshot) float64 { return float64(s.CacheLen) }},
+		{"psdserve_release_cache_bytes", "gauge", "Estimated bytes held by the answer cache, per release.",
+			func(s StatsSnapshot) float64 { return float64(s.CacheBytes) }},
 		{"psdserve_release_cache_evictions_total", "counter", "Cached answers displaced by capacity pressure, per release.",
 			func(s StatsSnapshot) float64 { return float64(s.CacheEvictions) }},
 	}
@@ -107,6 +109,10 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for i, rel := range rels {
 			pw.Sample(fam.name, relLabel(rel.Name), fam.value(snaps[i]))
 		}
+	}
+	pw.Family("psdserve_release_artifact_bytes", "gauge", "Serialized artifact size, per release.")
+	for _, rel := range rels {
+		pw.Sample("psdserve_release_artifact_bytes", relLabel(rel.Name), float64(rel.Bytes))
 	}
 	if pw.Err() != nil {
 		writeError(w, http.StatusInternalServerError, "rendering metrics: %v", pw.Err())

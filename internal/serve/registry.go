@@ -232,9 +232,6 @@ type Registry struct {
 	retryBase time.Duration
 	jitter    func(time.Duration) time.Duration
 
-	// keepVersions bounds retained versions per base name (versions.go).
-	keepVersions int
-
 	mu         sync.RWMutex
 	entries    map[string]*Release
 	files      map[string]fileState
@@ -353,20 +350,26 @@ func (g *Registry) Register(name, source string, r io.Reader) (*Release, error) 
 	if err != nil {
 		return nil, err
 	}
-	rel := &Release{
-		Name:       name,
-		Slab:       slab,
-		Source:     source,
-		Bytes:      cr.n,
-		LoadedAt:   time.Now(),
-		NumRegions: slab.NumRegions(),
-		cache:      NewCache(g.cacheSize),
-	}
+	rel := g.newRelease(name, slab, source, cr.n)
 	g.mu.Lock()
 	g.entries[name] = rel
 	g.noteInstallLocked(name)
 	g.mu.Unlock()
 	return rel, nil
+}
+
+// newRelease wraps an opened slab as a servable release with its own
+// answer cache (empty until queried: NewCache allocates as it fills).
+func (g *Registry) newRelease(name string, slab *psd.Slab, source string, size int64) *Release {
+	return &Release{
+		Name:       name,
+		Slab:       slab,
+		Source:     source,
+		Bytes:      size,
+		LoadedAt:   time.Now(),
+		NumRegions: slab.NumRegions(),
+		cache:      NewCache(g.cacheSize),
+	}
 }
 
 // validateName keeps registry names unambiguous in URLs and file names.
@@ -441,15 +444,7 @@ func (g *Registry) loadFileDirect(so slabOpener, name, path string) (*Release, b
 	if info, err := g.fs().Stat(path); err == nil {
 		size = info.Size()
 	}
-	rel := &Release{
-		Name:       name,
-		Slab:       slab,
-		Source:     path,
-		Bytes:      size,
-		LoadedAt:   time.Now(),
-		NumRegions: slab.NumRegions(),
-		cache:      NewCache(g.cacheSize),
-	}
+	rel := g.newRelease(name, slab, path, size)
 	// The atomic swap drops any previous release of this name; if that one
 	// was mmap-backed, its mapping is released by the GC cleanup once
 	// in-flight queries against it finish (Close here would race them).
@@ -541,16 +536,6 @@ func (g *Registry) ScanDir(dir string) (loaded, skipped []string, err error) {
 		// other side of the ambiguity was removed) is wiped so the file gets
 		// a fresh load this very scan.
 		g.clearConflict(path)
-		// Versions below the retention floor are skipped without a read:
-		// reloading them would only re-evict them (churning the version
-		// index) — the ingest tier prunes these artifacts shortly anyway.
-		if g.keepVersions > 0 {
-			if base, v, versioned, err := parseKey(name); err == nil && versioned &&
-				v <= maxVer[base]-g.keepVersions {
-				skipped = append(skipped, name)
-				continue
-			}
-		}
 		info, err := g.fs().Stat(path)
 		if err != nil {
 			// The file was listed but cannot be statted: a transient

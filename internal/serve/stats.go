@@ -43,6 +43,9 @@ type StatsSnapshot struct {
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	// CacheLen is the number of answers currently cached.
 	CacheLen int `json:"cache_len"`
+	// CacheBytes estimates the memory the answer cache holds (Cache.Bytes):
+	// it grows with the entries, so a never-queried release reports ~0.
+	CacheBytes int64 `json:"cache_bytes"`
 	// CacheEvictions is the number of answers displaced by capacity
 	// pressure — the sizing signal for the -cache flag.
 	CacheEvictions uint64 `json:"cache_evictions"`
@@ -59,6 +62,7 @@ func (s *stats) snapshot(c *Cache) StatsSnapshot {
 		Queries:        s.queries.Load(),
 		CacheHits:      s.cacheHits.Load(),
 		CacheLen:       c.Len(),
+		CacheBytes:     c.Bytes(),
 		CacheEvictions: c.Evictions(),
 		MaxLatencyNs:   s.maxNs.Load(),
 	}

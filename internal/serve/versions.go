@@ -84,11 +84,6 @@ type VersionInfo struct {
 	Active bool `json:"active,omitempty"`
 }
 
-// SetKeepVersions bounds how many versions per base name the registry
-// retains (0 keeps everything). Applies on each install; the pinned
-// version is never evicted. Call before the registry serves traffic.
-func (g *Registry) SetKeepVersions(k int) { g.keepVersions = k }
-
 // noteInstallLocked maintains the version index after entries[key] was set.
 func (g *Registry) noteInstallLocked(key string) {
 	base, v, versioned, err := parseKey(key)
@@ -97,28 +92,6 @@ func (g *Registry) noteInstallLocked(key string) {
 	}
 	if v > g.latest[base] {
 		g.latest[base] = v
-	}
-	g.evictVersionsLocked(base)
-}
-
-// evictVersionsLocked drops versions at or below latest−keep, except the
-// pinned one. Evicted entries also forget their file state, so a
-// reappearing artifact would reload cleanly.
-func (g *Registry) evictVersionsLocked(base string) {
-	if g.keepVersions <= 0 {
-		return
-	}
-	floor := g.latest[base] - g.keepVersions
-	pin := g.pinned[base]
-	for key, rel := range g.entries {
-		b, v, versioned, err := parseKey(key)
-		if err != nil || !versioned || b != base {
-			continue
-		}
-		if v <= floor && v != pin {
-			delete(g.entries, key)
-			delete(g.files, rel.Source)
-		}
 	}
 }
 

@@ -142,34 +142,59 @@ func TestVersionedResolution(t *testing.T) {
 	}
 }
 
-// TestVersionedKeepEviction: SetKeepVersions bounds retained versions, never
-// evicting the pin.
-func TestVersionedKeepEviction(t *testing.T) {
-	reg := NewRegistry(16)
-	reg.SetKeepVersions(2)
+// TestScanDirRetention: retention is file-driven. When the ingest tier
+// prunes old artifacts (psdingest -keep), the next scan drops those
+// versions, the bare name resolves to the newest survivor, and a pin on a
+// pruned version is released rather than left pointing at nothing.
+func TestScanDirRetention(t *testing.T) {
+	dir := t.TempDir()
 	for v := 1; v <= 5; v++ {
-		if v == 2 {
-			// Pin v1 while it is still present; it must survive eviction.
-			if err := reg.Promote("taxi", 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := reg.Register(fmt.Sprintf("taxi@v%d", v), "api", bytesReaderFor(t, int64(v))); err != nil {
+		writeBinArtifact(t, filepath.Join(dir, fmt.Sprintf("taxi@v%d.bin", v)), int64(v))
+	}
+	reg := NewRegistry(16)
+	if _, _, err := reg.ScanDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Promote("taxi", 2); err != nil {
+		t.Fatal(err)
+	}
+	if rel, err := reg.Resolve("taxi", ""); err != nil || rel.Name != "taxi@v2" {
+		t.Fatalf("pinned Resolve = %v, %v; want taxi@v2", rel, err)
+	}
+
+	// What psdingest -keep 2 leaves behind after publishing v5.
+	for v := 1; v <= 3; v++ {
+		if err := os.Remove(filepath.Join(dir, fmt.Sprintf("taxi@v%d.bin", v))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := map[int]bool{}
+	if _, _, err := reg.ScanDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
 	for _, vi := range reg.Versions("taxi") {
-		got[vi.Version] = true
-	}
-	want := map[int]bool{1: true, 4: true, 5: true}
-	if len(got) != len(want) {
-		t.Fatalf("retained versions %v, want %v", got, want)
-	}
-	for v := range want {
-		if !got[v] {
-			t.Fatalf("retained versions %v, want %v", got, want)
+		got = append(got, vi.Version)
+		if vi.Pinned {
+			t.Fatalf("v%d still pinned after the pinned v2 was pruned", vi.Version)
 		}
+	}
+	if fmt.Sprint(got) != "[4 5]" {
+		t.Fatalf("retained versions %v, want [4 5]", got)
+	}
+	if rel, err := reg.Resolve("taxi", ""); err != nil || rel.Name != "taxi@v5" {
+		t.Fatalf("Resolve after prune = %v, %v; want taxi@v5", rel, err)
+	}
+	for _, v := range []string{"v1", "v2", "v3"} {
+		if _, err := reg.Resolve("taxi", v); err == nil {
+			t.Fatalf("pruned taxi@%s still resolves", v)
+		}
+	}
+	// A survivor can still be pinned.
+	if err := reg.Promote("taxi", 4); err != nil {
+		t.Fatal(err)
+	}
+	if rel, err := reg.Resolve("taxi", ""); err != nil || rel.Name != "taxi@v4" {
+		t.Fatalf("re-pinned Resolve = %v, %v; want taxi@v4", rel, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package psd
 
 import (
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -344,5 +345,45 @@ func TestTuneToWorkload(t *testing.T) {
 	generic := meanErr(nil)
 	if tuned >= generic {
 		t.Errorf("tuned error %v should beat generic %v on its own workload", tuned, generic)
+	}
+}
+
+// TestWriteV3Allocs pins the v3 write of a freshly built tree — seal the
+// serving slab, encode it — at a handful of allocations, the same at
+// height 6 as at height 8: nothing is allocated per node or per bitset
+// word.
+func TestWriteV3Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	dom := NewRect(0, 0, 1000, 1000)
+	pts := clusteredPoints(20_000, dom, 7)
+	const runs = 3
+	allocs := func(height int) float64 {
+		// AllocsPerRun makes one warm-up call before its runs; each call
+		// gets its own tree so every write pays for the seal.
+		trees := make([]*Tree, runs+1)
+		for i := range trees {
+			tree, err := Build(pts, dom, Options{Kind: KDTree, Height: height, Epsilon: 0.5, Seed: int64(i + 1), Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			trees[i] = tree
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			if err := trees[next].WriteBinaryV3Release(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	a, b := allocs(6), allocs(8)
+	t.Logf("%v allocs per write at h6, %v at h8", a, b)
+	if a != b {
+		t.Errorf("%v allocs per write at h6 but %v at h8", a, b)
+	}
+	if b > 10 {
+		t.Errorf("%v allocs per write, want <= 10", b)
 	}
 }

@@ -24,9 +24,11 @@ func (t *Tree) WriteRelease(w io.Writer) error {
 // is exactly the serving slab's packed 40-byte records, 64-byte aligned,
 // with a trailing CRC-64 checksum. It is the only binary format written;
 // use it for artifacts a server will (re)load, and JSON where a human or
-// another toolchain reads the release.
+// another toolchain reads the release. It encodes the tree's serving slab
+// (materializing it if no query has yet), so writing costs one record copy
+// and no per-node garbage.
 func (t *Tree) WriteBinaryV3Release(w io.Writer) error {
-	_, err := t.inner.Release().WriteBinaryV3(w)
+	_, err := t.inner.Sealed().WriteBinaryV3(w)
 	return err
 }
 
